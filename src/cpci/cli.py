@@ -43,11 +43,20 @@ def _fmt9(value: float) -> str:
     return format(float(value), ".9g")
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def _atomic_write(path: str, data: bytes) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpci-tmp-")
     try:
         with os.fdopen(fd, "wb") as handle:
+            # mkstemp creates the file 0600 and os.replace keeps that mode;
+            # give it the mode a plain open() would.
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
             handle.write(data)
         os.replace(tmp, path)
     except BaseException:

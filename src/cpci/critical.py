@@ -3,19 +3,35 @@
 Each vertex is classified from the signs of its link neighbors (higher
 or lower than the center) under a strict total order that breaks value
 ties by linear index, so repeated values never produce an undefined
-answer.  The sign sequence around the link decides the type: no sign
-change means an extremum, more than two maximal runs means a saddle.
+answer (Simulation of Simplicity).  The sign sequence around the link
+decides the type: no sign change means an extremum, more than two
+maximal runs means a saddle.
+
+The vectorised kernel never forms the link of a vertex.  Under the fixed
+Freudenthal diagonal, the neighbor in link direction (di, dj) has linear
+index `center + d` with `d = di + dj*nx`, so the index tie-break depends
+only on the direction: the neighbor wins value ties exactly when d > 0,
+which holds for the first three of `grid._LINK_OFFSETS` and fails for
+the last three.  "Neighbor higher" is therefore `nb >= c` in the first
+three directions and `nb > c` in the other three: one comparison per
+direction of the (m, n) values against themselves shifted by d.  The six
+results pack into a 6-bit code, and a 64x64 table indexed by (in-grid
+directions, higher directions) gives the type.  The table is built once
+at import from the same run-count rule as `classify_vertex`, reading
+interior links as cycles and boundary links, whose in-grid directions
+form one arc, as paths.  It ignores the bits of out-of-grid directions,
+which is where a shift that wraps across a row end lands.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
-from functools import lru_cache
 
 import numpy as np
 
-from .grid import Ensemble, GridTopology, VertexLink, build_link
+from .grid import _LINK_OFFSETS, Ensemble, GridTopology, VertexLink, build_link
 
 __all__ = [
     "CriticalType",
@@ -85,6 +101,17 @@ def _run_count(signs: list[bool], closed: bool) -> int:
     return changes + 1
 
 
+def _classify_signs(higher: list[bool], closed: bool) -> CriticalType:
+    """Type of a vertex from its link signs in link order."""
+    if all(higher):
+        return CriticalType.MINIMUM
+    if not any(higher):
+        return CriticalType.MAXIMUM
+    if _run_count(higher, closed) > 2:
+        return CriticalType.SADDLE
+    return CriticalType.REGULAR
+
+
 def classify_vertex(
     field: np.ndarray,
     topology: GridTopology,
@@ -104,66 +131,87 @@ def classify_vertex(
         compare_vertices(field, topology.linear(i, j), center) > 0
         for i, j in link.neighbors
     ]
-    if all(higher):
-        return CriticalType.MINIMUM
-    if not any(higher):
-        return CriticalType.MAXIMUM
-    if _run_count(higher, link.closed) > 2:
-        return CriticalType.SADDLE
-    return CriticalType.REGULAR
+    return _classify_signs(higher, link.closed)
 
 
-@lru_cache(maxsize=32)
-def _link_groups(nx: int, ny: int):
-    """Vertices bucketed by link shape for vectorized classification.
+def _build_type_table() -> np.ndarray:
+    """int8 type of every (valid, bits) pair of 6-bit direction masks.
 
-    Returns tuples (centers, neighbors, index_higher, closed) where
-    `centers` has shape (G,), `neighbors` (G, deg), and `index_higher`
-    is the precomputed index tie-break mask neighbors > centers.
+    Bit k stands for direction `_LINK_OFFSETS[k]`: in `valid` it marks an
+    in-grid neighbor, in `bits` a higher one; bits of out-of-grid
+    directions do not change the type.  A full `valid` is an interior
+    link, read as a cycle.  A boundary link's directions form one cyclic
+    arc, read as a path from the arc's start; `build_link` may walk it
+    the other way, which leaves the run count unchanged.  Masks that are
+    not an arc occur in no grid of at least 2x2 and stay 0.
     """
-    topology = GridTopology(nx, ny)
-    buckets: dict[tuple, list[tuple[int, tuple[int, ...]]]] = {}
-    for j in range(ny):
-        for i in range(nx):
-            link = build_link(topology, (i, j))
-            offsets = tuple((p - i, q - j) for p, q in link.neighbors)
-            buckets.setdefault((offsets, link.closed), []).append(
-                (topology.linear(i, j),
-                 tuple(topology.linear(p, q) for p, q in link.neighbors)))
-    groups = []
-    for (_, closed), entries in buckets.items():
-        centers = np.array([c for c, _ in entries], dtype=np.intp)
-        neighbors = np.array([nb for _, nb in entries], dtype=np.intp)
-        groups.append((centers, neighbors, neighbors > centers[:, None], closed))
-    return tuple(groups)
+    table = np.zeros((64, 64), dtype=np.int8)
+    for valid in range(1, 64):
+        inside = [bool(valid >> k & 1) for k in range(6)]
+        starts = [k for k in range(6) if inside[k] and not inside[k - 1]]
+        if valid == 63:
+            order, closed = list(range(6)), True
+        elif len(starts) == 1:
+            order = [(starts[0] + t) % 6 for t in range(sum(inside))]
+            closed = False
+        else:
+            continue
+        for bits in range(64):
+            if bits & ~valid == 0:
+                signs = [bool(bits >> k & 1) for k in order]
+                table[valid, bits] = _classify_signs(signs, closed)
+    masks = np.arange(64)
+    return table[masks[:, None], masks[:, None] & masks]
+
+
+_TYPE_TABLE = _build_type_table()
+
+
+def _require_links(topology: GridTopology) -> None:
+    if topology.nx < 2 or topology.ny < 2:
+        raise ValueError("vertex links require at least a 2x2 grid")
 
 
 def _classify_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:
     """Classify every vertex of every member: (m, n) values -> int8 codes."""
-    m = values.shape[0]
-    codes = np.zeros((m, topology.n), dtype=np.int8)
-    for centers, neighbors, index_higher, closed in _link_groups(topology.nx, topology.ny):
-        center_vals = values[:, centers][:, :, None]          # (m, G, 1)
-        neighbor_vals = values[:, neighbors]                   # (m, G, deg)
-        higher = (neighbor_vals > center_vals) | (
-            (neighbor_vals == center_vals) & index_higher[None, :, :])
-        all_higher = higher.all(axis=2)
-        all_lower = (~higher).all(axis=2)
-        if closed:
-            changes = (higher != np.roll(higher, -1, axis=2)).sum(axis=2)
+    _require_links(topology)
+    nx, ny, n = topology.nx, topology.ny, topology.n
+    bits = np.zeros(values.shape, dtype=np.uint8)
+    valid = np.zeros((ny, nx), dtype=np.uint8)
+    for k, (di, dj) in enumerate(_LINK_OFFSETS):
+        d = di + dj * nx
+        # The neighbor wins value ties exactly when its linear index is larger.
+        if d > 0:
+            bits[:, :n - d] |= (values[:, d:] >= values[:, :n - d]).view(np.uint8) << k
         else:
-            changes = (higher[:, :, 1:] != higher[:, :, :-1]).sum(axis=2) + 1
-        block = np.zeros((m, len(centers)), dtype=np.int8)
-        block[changes > 2] = CriticalType.SADDLE
-        block[all_higher] = CriticalType.MINIMUM
-        block[all_lower] = CriticalType.MAXIMUM
-        codes[:, centers] = block
-    return codes
+            bits[:, -d:] |= (values[:, :n + d] > values[:, -d:]).view(np.uint8) << k
+        valid[max(0, -dj):ny - max(0, dj), max(0, -di):nx - max(0, di)] |= 1 << k
+    return _TYPE_TABLE.ravel().take((valid.reshape(n).astype(np.intp) << 6) + bits)
 
 
 def _member_chunk(n: int) -> int:
-    # Bound the (chunk, n, 6) float workspace to roughly 50 MB.
+    # About 10^6 member-vertices per chunk.  Each holds ~13 bytes of kernel
+    # and tally workspace (uint8 code, bool comparison and its uint8 shift,
+    # intp table index, int8 type, bool tally mask), plus the float64 values
+    # when ground truth draws the chunk: ~30 MB, under the old kernel's
+    # ~50 MB float workspace.  Larger chunks measured no faster.
     return max(1, 1_000_000 // max(n, 1))
+
+
+def _tally(blocks: Iterable[np.ndarray], topology: GridTopology) -> np.ndarray:
+    """Per-vertex (min, max, saddle) counts over (k, n) member blocks: (3, n).
+
+    The topology is checked before the first block is produced, so a lazy
+    source (the sampler) does no work for a grid that cannot be classified.
+    """
+    _require_links(topology)
+    totals = np.zeros((3, topology.n), dtype=np.int64)
+    for block in blocks:
+        codes = _classify_codes(block, topology)
+        for row, ctype in enumerate(
+                (CriticalType.MINIMUM, CriticalType.MAXIMUM, CriticalType.SADDLE)):
+            totals[row] += np.count_nonzero(codes == ctype, axis=0)
+    return totals
 
 
 def classify_field(field: np.ndarray, topology: GridTopology) -> list[CriticalType]:
@@ -180,13 +228,9 @@ def classify_field(field: np.ndarray, topology: GridTopology) -> list[CriticalTy
 
 def count_types(e: Ensemble) -> list[TypeCounts]:
     """Per-vertex occurrence counts of each type across all members."""
-    totals = np.zeros((3, e.topology.n), dtype=np.int64)
     chunk = _member_chunk(e.topology.n)
-    for start in range(0, e.m, chunk):
-        codes = _classify_codes(e.values[start:start + chunk], e.topology)
-        totals[0] += (codes == CriticalType.MINIMUM).sum(axis=0)
-        totals[1] += (codes == CriticalType.MAXIMUM).sum(axis=0)
-        totals[2] += (codes == CriticalType.SADDLE).sum(axis=0)
+    totals = _tally(
+        (e.values[start:start + chunk] for start in range(0, e.m, chunk)), e.topology)
     return [
         TypeCounts(int(c_min), int(c_max), int(c_sad), e.m)
         for c_min, c_max, c_sad in totals.T

@@ -228,10 +228,8 @@ def _parses_as_float(token: str) -> bool:
 
 def _block_rows(values: np.ndarray, nx: int, ny: int) -> list[str]:
     """Format one field block with 17 significant digits (exact roundtrip)."""
-    return [
-        " ".join(format(v, ".17g") for v in values[j * nx:(j + 1) * nx])
-        for j in range(ny)
-    ]
+    row = " ".join(["%.17g"] * nx)
+    return [row % tuple(values[j * nx:(j + 1) * nx].tolist()) for j in range(ny)]
 
 
 def load_ensemble(source: IO[bytes]) -> Ensemble:

@@ -18,7 +18,7 @@ from typing import IO
 
 import numpy as np
 
-from .critical import TypeCounts, _classify_codes, _member_chunk, CriticalType
+from .critical import TypeCounts, _member_chunk, _tally
 from .grid import Ensemble, GridTopology, _LineReader, _block_rows
 from .stats import ConfidenceLevel, DEFAULT_LEVEL, ProbabilitySummary, summarize
 
@@ -83,16 +83,19 @@ def estimate_moments(e: Ensemble) -> MomentModel:
     return MomentModel(topology=e.topology, mean=mean, factor=factor)
 
 
-def _member_rng(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.ndarray:
+    # One generator, re-keyed per member: key [seed, k], counter 0 and an
+    # empty buffer, exactly the state of a fresh Philox(key=[seed, k]).
     r = model.factor.shape[1]
     z = np.empty((stop - start, r))
+    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    key = state["state"]["key"]
     for k in range(start, stop):
-        z[k - start] = _member_rng(seed, k).standard_normal(r)
+        key[1] = k
+        bit_generator.state = state
+        rng.standard_normal(out=z[k - start])
     return model.mean + z @ model.factor.T
 
 
@@ -120,25 +123,14 @@ def ground_truth_probabilities(
     seed = _check_seed(seed)
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    n = model.topology.n
-    counts = np.zeros((4, n), dtype=np.int64)
-    chunk = _member_chunk(n)
-    for start in range(0, n_draws, chunk):
-        stop = min(start + chunk, n_draws)
-        codes = _classify_codes(_draw_members(model, start, stop, seed), model.topology)
-        for ctype in (CriticalType.MINIMUM, CriticalType.MAXIMUM, CriticalType.SADDLE):
-            counts[ctype] += np.count_nonzero(codes == ctype, axis=0)
+    chunk = _member_chunk(model.topology.n)
+    counts = _tally(
+        (_draw_members(model, start, min(start + chunk, n_draws), seed)
+         for start in range(0, n_draws, chunk)),
+        model.topology)
     return [
-        summarize(
-            TypeCounts(
-                c_min=int(counts[CriticalType.MINIMUM, v]),
-                c_max=int(counts[CriticalType.MAXIMUM, v]),
-                c_saddle=int(counts[CriticalType.SADDLE, v]),
-                m=n_draws,
-            ),
-            level,
-        )
-        for v in range(n)
+        summarize(TypeCounts(int(c_min), int(c_max), int(c_sad), n_draws), level)
+        for c_min, c_max, c_sad in counts.T
     ]
 
 

@@ -131,6 +131,15 @@ class TestEstimate:
         assert code == 0
         assert out.read_text().splitlines()[0] == "# m=4 gamma=0.9"
 
+    @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
+    def test_single_row_or_column_is_input_error(self, tmp_path, nx, ny):
+        egf = tmp_path / "in.egf"
+        write_egf(egf, GridTopology(nx, ny), np.arange(nx * ny, dtype=float))
+        code, _, err = run_cli(
+            "estimate", "--input", str(egf), "--output", str(tmp_path / "o.csv"))
+        assert code == 2 and "2x2" in err
+        assert not (tmp_path / "o.csv").exists()
+
     def test_bad_gamma(self, tmp_path, topo33):
         egf = tmp_path / "in.egf"
         write_egf(egf, topo33, random_members(topo33, 4, seed=1))
@@ -405,6 +414,18 @@ class TestExitCodes:
         assert code == 2
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".cpci-tmp-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_umask_mode(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            code, _, _ = run_cli(
+                "coverage", "--p", "0.5", "--m", "9", "--reps", "10",
+                "--output", str(tmp_path / "cov.csv"))
+        finally:
+            os.umask(previous)
+        assert code == 0
+        assert (tmp_path / "cov.csv").stat().st_mode & 0o777 == 0o666 & ~umask
 
     def test_help_exits_zero(self):
         code, stdout, _ = run_cli("--help")

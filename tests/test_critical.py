@@ -6,6 +6,7 @@ import pytest
 from cpci.critical import (
     CriticalType,
     TypeCounts,
+    _classify_codes,
     classify_field,
     classify_vertex,
     compare_vertices,
@@ -203,6 +204,11 @@ class TestClassifyField:
         assert len(types) == t.n
         assert all(isinstance(c, CriticalType) for c in types)
 
+    @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
+    def test_single_row_or_column_rejected(self, nx, ny):
+        with pytest.raises(ValueError, match="2x2"):
+            classify_field(np.zeros(nx * ny), GridTopology(nx, ny))
+
     def test_size_mismatch_rejected(self, topo33):
         with pytest.raises(ValueError):
             classify_field(np.zeros(8), topo33)
@@ -212,6 +218,36 @@ class TestClassifyField:
         field[4] = np.inf
         with pytest.raises(ValueError):
             classify_field(field, topo33)
+
+
+# --- vectorised kernel against the scalar oracle ---------------------------
+
+def kernel_fields(kind: str, m: int, n: int) -> np.ndarray:
+    values = np.random.default_rng(n).normal(size=(m, n))
+    if kind == "quantised 1.0":
+        return np.round(values)
+    if kind == "quantised 0.25":
+        return np.round(values * 4) / 4
+    if kind == "constant":
+        return np.full((m, n), 0.5)
+    return values
+
+
+class TestClassifyCodes:
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 5), (5, 2), (7, 3), (16, 16)])
+    @pytest.mark.parametrize(
+        "kind", ["random", "quantised 1.0", "quantised 0.25", "constant"])
+    def test_every_vertex_matches_classify_vertex(self, nx, ny, kind):
+        t = GridTopology(nx, ny)
+        values = kernel_fields(kind, 3, t.n)
+        codes = _classify_codes(values, t)
+        assert codes.shape == values.shape and codes.dtype == np.int8
+        for j in range(ny):
+            for i in range(nx):
+                link = build_link(t, (i, j))
+                for field, member_codes in zip(values, codes):
+                    expected = classify_vertex(field, t, (i, j), link)
+                    assert member_codes[t.linear(i, j)] == expected, (i, j)
 
 
 # --- count_types --------------------------------------------------------
@@ -248,6 +284,18 @@ class TestCountTypes:
                 c == CriticalType.MAXIMUM for c in per_member)
             assert counts[v].c_saddle == sum(
                 c == CriticalType.SADDLE for c in per_member)
+
+    def test_result_independent_of_chunk_size(self, monkeypatch):
+        t = GridTopology(5, 4)
+        members = np.round(np.random.default_rng(47).normal(size=(20, t.n)) * 2)
+        base = count_types(Ensemble(t, members))
+        monkeypatch.setattr("cpci.critical._member_chunk", lambda n: 7)
+        assert count_types(Ensemble(t, members)) == base
+
+    @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
+    def test_single_row_or_column_rejected(self, nx, ny):
+        with pytest.raises(ValueError, match="2x2"):
+            count_types(Ensemble(GridTopology(nx, ny), np.zeros((3, nx * ny))))
 
     def test_count_sum_bounded_by_m(self):
         t = GridTopology(6, 5)

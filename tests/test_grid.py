@@ -240,6 +240,20 @@ class TestSaveEnsemble:
         assert np.array_equal(back.values, e.values)
         assert back.topology == e.topology
 
+    def test_bytes_match_per_value_format_on_extremes(self):
+        big = np.finfo(np.float64).max
+        tiny = np.finfo(np.float64).tiny
+        values = np.array([
+            [0.0, -0.0, 5e-324, -5e-324],
+            [tiny, np.nextafter(tiny, 0.0), big, -big],
+            [1 / 3, -1e22, 1e-7, 123456789.0],
+        ]).reshape(1, 12)
+        rows = [" ".join(format(v, ".17g") for v in row) for row in values.reshape(3, 4)]
+        expected = "\n".join(["EGF1", "4 3 1", *rows]) + "\n"
+        data = save_bytes(Ensemble(GridTopology(4, 3), values))
+        assert data == expected.encode()
+        assert b" 4.9406564584124654e-324 " in data
+
     def test_seventeen_significant_digits(self):
         data = save_bytes(Ensemble(GridTopology(2, 2), [[1 / 3] * 4]))
         assert b"0.33333333333333331" in data

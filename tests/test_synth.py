@@ -3,11 +3,12 @@ import io
 import numpy as np
 import pytest
 
-from cpci.critical import CriticalType, classify_field
+from cpci.critical import CriticalType, _member_chunk, classify_field
 from cpci.grid import Ensemble, GridTopology, ParseError, save_ensemble
 from cpci.stats import ConfidenceLevel
 from cpci.synth import (
     MomentModel,
+    _draw_members,
     estimate_moments,
     ground_truth_probabilities,
     load_moment_model,
@@ -154,6 +155,25 @@ class TestSampleEnsemble:
             sample_ensemble(model, 3, seed=0.5)
 
 
+class TestMemberStream:
+    """Member k is N(0, I) drawn from a fresh Philox keyed [seed, k]."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_rows_equal_fresh_philox_per_member(self, seed):
+        # Identity factor and zero mean: the drawn members are the normals.
+        t = GridTopology(2, 3)
+        model = MomentModel(t, np.zeros(t.n), np.eye(t.n))
+        chunk = _member_chunk(t.n)
+        start, stop = chunk - 3, chunk + 3
+        drawn = _draw_members(model, start, stop, seed)
+        for k in range(start, stop):
+            key = np.array([seed, k], dtype=np.uint64)
+            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(t.n)
+            assert np.array_equal(drawn[k - start], expected), k
+        assert np.array_equal(
+            sample_ensemble(model, stop, seed).values[start:], drawn)
+
+
 def _random_model(seed: int = 11) -> MomentModel:
     t = GridTopology(3, 3)
     members = np.random.default_rng(seed).normal(size=(4, 9))
@@ -218,6 +238,13 @@ class TestGroundTruth:
         summaries = ground_truth_probabilities(
             model, 100, seed=2, level=ConfidenceLevel(0.5))
         assert summaries[0].gamma == 0.5
+
+    @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
+    def test_single_row_or_column_rejected(self, nx, ny):
+        t = GridTopology(nx, ny)
+        model = MomentModel(t, np.zeros(t.n), np.ones((t.n, 1)))
+        with pytest.raises(ValueError, match="2x2"):
+            ground_truth_probabilities(model, 10, seed=0)
 
     def test_invalid_draws(self):
         with pytest.raises(ValueError):
