@@ -2,17 +2,16 @@
 
 The pipeline: classify each ensemble member's vertices as minimum,
 maximum, saddle, or regular on the triangulated grid (`critical`),
-count occurrences per vertex, turn counts into Jeffreys interval
-estimates (`stats`), and render the per-vertex summaries as sunburst
-glyph maps (`render`).  `synth` fits a Gaussian model to a seed
-ensemble and draws synthetic ensembles for validation; `cli` wires it
-all into the `cpci` command.
+count occurrences per vertex into a (3, n) array, turn the counts into
+one (3, 3, n) table of point estimates and Jeffreys interval bounds
+(`stats`), and render that table as a sunburst glyph map (`render`).
+`synth` fits a Gaussian model to a seed ensemble and draws synthetic
+ensembles for validation; `cli` wires it all into the `cpci` command.
 """
 
 from .critical import (
     CriticalType,
     TYPE_CODES,
-    TypeCounts,
     classify_field,
     classify_vertex,
     compare_vertices,
@@ -28,13 +27,9 @@ from .grid import (
     save_ensemble,
 )
 from .render import (
-    GlyphGeometry,
     GlyphStyle,
     SECTORS,
-    SectorGeometry,
-    glyph_geometry,
     glyph_radius,
-    render_glyph,
     render_map,
 )
 from .stats import (
@@ -42,7 +37,6 @@ from .stats import (
     CoverageReport,
     DEFAULT_LEVEL,
     IntervalEstimate,
-    ProbabilitySummary,
     beta_quantile,
     coverage_experiment,
     jeffreys_interval,
@@ -64,7 +58,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CriticalType",
     "TYPE_CODES",
-    "TypeCounts",
     "classify_field",
     "classify_vertex",
     "compare_vertices",
@@ -76,19 +69,14 @@ __all__ = [
     "build_link",
     "load_ensemble",
     "save_ensemble",
-    "GlyphGeometry",
     "GlyphStyle",
     "SECTORS",
-    "SectorGeometry",
-    "glyph_geometry",
     "glyph_radius",
-    "render_glyph",
     "render_map",
     "ConfidenceLevel",
     "CoverageReport",
     "DEFAULT_LEVEL",
     "IntervalEstimate",
-    "ProbabilitySummary",
     "beta_quantile",
     "coverage_experiment",
     "jeffreys_interval",

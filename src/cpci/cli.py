@@ -15,16 +15,12 @@ import os
 import sys
 import tempfile
 
+import numpy as np
+
 from .critical import CriticalType, TYPE_CODES, classify_field, count_types
 from .grid import GridTopology, load_ensemble, save_ensemble
 from .render import GlyphStyle, render_map
-from .stats import (
-    ConfidenceLevel,
-    IntervalEstimate,
-    ProbabilitySummary,
-    coverage_experiment,
-    summarize,
-)
+from .stats import ConfidenceLevel, coverage_experiment, summarize
 from .synth import (
     estimate_moments,
     ground_truth_probabilities,
@@ -36,6 +32,8 @@ from .synth import (
 _SUMMARY_HEADER = (
     "i,j,min_hat,min_lo,min_hi,max_hat,max_lo,max_hi,sad_hat,sad_lo,sad_hi"
 )
+_SUMMARY_COLUMNS = _SUMMARY_HEADER.split(",")[2:]
+_SUMMARY_ROW = "%d,%d" + ",%.9g" * 9
 _SEED_MOD = 1 << 64
 
 
@@ -82,32 +80,39 @@ def _load_model_path(path: str):
 
 
 def _summary_csv(
-    summaries: list[ProbabilitySummary],
+    table: np.ndarray,
     topology: GridTopology,
     m: int,
     gamma: float,
     collapse: bool = False,
 ) -> str:
+    """Summary CSV text of a (3, 3, n) table; `collapse` writes hat as lo and hi."""
+    if collapse:
+        table = table[:, [0, 0, 0]]
+    nx = topology.nx
     lines = [f"# m={m} gamma={_fmt9(gamma)}", _SUMMARY_HEADER]
-    for v in range(topology.n):
-        i, j = topology.coords(v)
-        cells = [str(i), str(j)]
-        s = summaries[v]
-        for est in (s.minimum, s.maximum, s.saddle):
-            if collapse:
-                triple = (est.p_hat, est.p_hat, est.p_hat)
-            else:
-                triple = (est.p_hat, est.p_lower, est.p_upper)
-            cells.extend(_fmt9(x) for x in triple)
-        lines.append(",".join(cells))
+    lines.extend(
+        _SUMMARY_ROW % (v % nx, v // nx, *row)
+        for v, row in enumerate(table.reshape(9, topology.n).T.tolist()))
     return "\n".join(lines) + "\n"
 
 
-def _read_summary_csv(path: str):
-    """Parse a summary CSV back into per-vertex summaries.
+def _summary_row(path: str, cells: list[str]) -> tuple:
+    if len(cells) != 11:
+        raise ValueError(
+            f"{path}: expected 11 fields per row, got {len(cells)}: {','.join(cells)!r}")
+    try:
+        return (int(cells[0]), int(cells[1]), *map(float, cells[2:]))
+    except ValueError:
+        raise ValueError(f"{path}: malformed row {','.join(cells)!r}") from None
 
-    Returns (topology, summaries in linear vertex order, m, gamma); m and
-    gamma are None when the metadata comment is absent.
+
+def _read_summary_csv(path: str):
+    """Parse a summary CSV back into a (3, 3, n) table in linear vertex order.
+
+    Returns (topology, table, m, gamma); m and gamma are None when the
+    metadata comment is absent.  The row count is checked against the
+    grid the indices span before any per-vertex array is allocated.
     """
     m = gamma = None
     with open(path, "r", encoding="utf-8", newline="") as handle:
@@ -132,42 +137,52 @@ def _read_summary_csv(path: str):
     if header != _SUMMARY_HEADER:
         raise ValueError(
             f"{path}: unexpected header {header!r}; expected {_SUMMARY_HEADER!r}")
-    rows: dict[tuple[int, int], ProbabilitySummary] = {}
-    for cells in csv.reader(data_lines[1:]):
-        if len(cells) != 11:
-            raise ValueError(
-                f"{path}: expected 11 fields per row, got {len(cells)}: {','.join(cells)!r}")
-        try:
-            i, j = int(cells[0]), int(cells[1])
-            values = [float(c) for c in cells[2:]]
-        except ValueError:
-            raise ValueError(f"{path}: malformed row {','.join(cells)!r}") from None
-        if i < 0 or j < 0:
-            raise ValueError(f"{path}: negative vertex index in row {','.join(cells)!r}")
-        if (i, j) in rows:
-            raise ValueError(f"{path}: duplicate vertex ({i}, {j})")
-        estimates = [
-            IntervalEstimate(
-                p_hat=values[k], p_lower=values[k + 1], p_upper=values[k + 2], m=m)
-            for k in (0, 3, 6)
-        ]
-        rows[(i, j)] = ProbabilitySummary(
-            minimum=estimates[0], maximum=estimates[1], saddle=estimates[2], gamma=gamma)
+    rows = list(csv.reader(data_lines[1:]))
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    nx = max(i for i, _ in rows) + 1
-    ny = max(j for _, j in rows) + 1
+    parsed = [_summary_row(path, cells) for cells in rows]
+    try:
+        i, j = np.array([row[:2] for row in parsed], dtype=np.int64).T
+    except OverflowError:
+        raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
+    values = np.array([row[2:] for row in parsed])
+    negative = (i < 0) | (j < 0)
+    if negative.any():
+        raise ValueError(
+            f"{path}: negative vertex index in row {','.join(rows[np.argmax(negative)])!r}")
+    # Sorted by (j, i), the rows of a complete grid are its vertices in
+    # linear order: position k holds (k % nx, k // nx).
+    order = np.lexsort((i, j))
+    si, sj = i[order], j[order]
+    repeated = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
+    if repeated.any():
+        k = np.argmax(repeated)
+        raise ValueError(f"{path}: duplicate vertex ({si[k]}, {sj[k]})")
+    nx, ny = int(si.max()) + 1, int(sj.max()) + 1
     topology = GridTopology(nx, ny)
     if len(rows) != topology.n:
+        # Distinct in-box rows are fewer than the vertices: name the first gap.
+        k = np.arange(len(rows))
+        gap = (si != k % nx) | (sj != k // nx)
+        first = int(np.argmax(gap)) if gap.any() else len(rows)
         raise ValueError(
-            f"{path}: {len(rows)} rows do not cover the {nx}x{ny} grid ({topology.n} vertices)")
-    summaries = []
-    for v in range(topology.n):
-        key = topology.coords(v)
-        if key not in rows:
-            raise ValueError(f"{path}: missing vertex {key}")
-        summaries.append(rows[key])
-    return topology, summaries, m, gamma
+            f"{path}: missing vertex ({first % nx}, {first // nx}); {len(rows)} rows "
+            f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
+    table = np.ascontiguousarray(values[order].T).reshape(3, 3, topology.n)
+    bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
+    if bad.any():
+        t, stat, v = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            f"{path}: vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + stat]}="
+            f"{float(table[t, stat, v])!r} is not a probability")
+    inverted = table[:, 1] > table[:, 2]
+    if inverted.any():
+        t, v = np.argwhere(inverted)[0].tolist()
+        raise ValueError(
+            f"{path}: vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + 1]}="
+            f"{float(table[t, 1, v])!r} exceeds {_SUMMARY_COLUMNS[3 * t + 2]}="
+            f"{float(table[t, 2, v])!r}")
+    return topology, table, m, gamma
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -208,25 +223,25 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_estimate(args: argparse.Namespace) -> int:
     ensemble = _load_ensemble_path(args.input)
-    counts = count_types(ensemble)
+    records = count_types(ensemble)
+    counts = np.stack((records.c_min, records.c_max, records.c_saddle))
     topology = ensemble.topology
     if args.counts:
+        nx, m = topology.nx, ensemble.m
         lines = ["i,j,c_min,c_max,c_saddle,m"]
-        for v in range(topology.n):
-            i, j = topology.coords(v)
-            c = counts[v]
-            lines.append(f"{i},{j},{c.c_min},{c.c_max},{c.c_saddle},{c.m}")
+        lines.extend("%d,%d,%d,%d,%d,%d" % (v % nx, v // nx, *row, m)
+                     for v, row in enumerate(counts.T.tolist()))
         _atomic_write_text(args.output, "\n".join(lines) + "\n")
         return 0
     level = ConfidenceLevel(args.gamma)
-    summaries = [summarize(c, level) for c in counts]
+    table = summarize(counts, ensemble.m, level)
     _atomic_write_text(
-        args.output, _summary_csv(summaries, topology, ensemble.m, level.gamma))
+        args.output, _summary_csv(table, topology, ensemble.m, level.gamma))
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    topology, summaries, m, gamma = _read_summary_csv(args.input)
+    topology, table, m, gamma = _read_summary_csv(args.input)
     if m is None or gamma is None:
         raise ValueError(
             f"{args.input}: missing `# m=... gamma=...` metadata; cannot report m and gamma")
@@ -235,30 +250,27 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ValueError(
             f"vertex out of range: i must be in [0, {topology.nx - 1}] "
             f"and j in [0, {topology.ny - 1}], got ({i}, {j})")
-    summary = summaries[topology.linear(i, j)]
     print(f"vertex ({i}, {j})  m={m}  gamma={_fmt9(gamma)}")
-    for code, est in (("min", summary.minimum), ("max", summary.maximum),
-                      ("sad", summary.saddle)):
-        print(
-            f"{code}  p_hat={_fmt9(est.p_hat)}  p_lower={_fmt9(est.p_lower)}"
-            f"  p_upper={_fmt9(est.p_upper)}")
+    for code, triple in zip(("min", "max", "sad"),
+                            table[:, :, topology.linear(i, j)].tolist()):
+        print("%s  p_hat=%.9g  p_lower=%.9g  p_upper=%.9g" % (code, *triple))
     return 0
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    topology, summaries, _, _ = _read_summary_csv(args.input)
+    topology, table, _, _ = _read_summary_csv(args.input)
     if args.ground_truth:
-        for v, summary in enumerate(summaries):
-            for code in ("min", "max", "sad"):
-                est = summary.by_code(code)
-                if not est.p_hat == est.p_lower == est.p_upper:
-                    i, j = topology.coords(v)
-                    raise ValueError(
-                        f"--ground-truth requires p_hat = p_lower = p_upper; "
-                        f"vertex ({i}, {j}) type {code} has "
-                        f"({_fmt9(est.p_hat)}, {_fmt9(est.p_lower)}, {_fmt9(est.p_upper)})")
+        hat = table[:, 0]
+        spread = (table[:, 1] != hat) | (table[:, 2] != hat)
+        if spread.any():
+            v, t = np.argwhere(spread.T)[0].tolist()
+            i, j = topology.coords(v)
+            raise ValueError(
+                f"--ground-truth requires p_hat = p_lower = p_upper; "
+                f"vertex ({i}, {j}) type {('min', 'max', 'sad')[t]} has "
+                "(%.9g, %.9g, %.9g)" % tuple(table[t, :, v].tolist()))
     style = GlyphStyle(r_max=args.rmax, cell=args.cell)
-    _atomic_write_text(args.output, render_map(summaries, topology, style))
+    _atomic_write_text(args.output, render_map(table, topology, style))
     return 0
 
 
@@ -297,10 +309,10 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
 def cmd_synth_truth(args: argparse.Namespace) -> int:
     model = _load_model_path(args.input)
     level = ConfidenceLevel(args.gamma)
-    summaries = ground_truth_probabilities(model, args.draws, args.seed, level)
+    table = ground_truth_probabilities(model, args.draws, args.seed, level)
     _atomic_write_text(
         args.output,
-        _summary_csv(summaries, model.topology, args.draws, level.gamma,
+        _summary_csv(table, model.topology, args.draws, level.gamma,
                      collapse=args.collapse))
     return 0
 

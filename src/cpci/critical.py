@@ -26,7 +26,6 @@ which is where a shift that wraps across a row end lands.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -35,7 +34,6 @@ from .grid import _LINK_OFFSETS, Ensemble, GridTopology, VertexLink, build_link
 
 __all__ = [
     "CriticalType",
-    "TypeCounts",
     "TYPE_CODES",
     "compare_vertices",
     "classify_vertex",
@@ -58,26 +56,6 @@ TYPE_CODES = {
     CriticalType.SADDLE: "sad",
     CriticalType.REGULAR: "reg",
 }
-
-
-@dataclass(frozen=True)
-class TypeCounts:
-    """Occurrence counts of each critical type at one vertex, out of m."""
-
-    c_min: int
-    c_max: int
-    c_saddle: int
-    m: int
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {self.m}")
-        for name in ("c_min", "c_max", "c_saddle"):
-            count = getattr(self, name)
-            if not 0 <= count <= self.m:
-                raise ValueError(f"{name}={count} outside [0, {self.m}]")
-        if self.c_min + self.c_max + self.c_saddle > self.m:
-            raise ValueError("type counts exceed ensemble size")
 
 
 def compare_vertices(field: np.ndarray, u: int, v: int) -> int:
@@ -226,12 +204,13 @@ def classify_field(field: np.ndarray, topology: GridTopology) -> list[CriticalTy
     return [CriticalType(int(code)) for code in codes]
 
 
-def count_types(e: Ensemble) -> list[TypeCounts]:
-    """Per-vertex occurrence counts of each type across all members."""
+def count_types(e: Ensemble) -> np.recarray:
+    """Per-vertex occurrence counts of each type across all members.
+
+    One record per vertex in linear order, with int64 fields `c_min`,
+    `c_max` and `c_saddle`, each out of `e.m`.
+    """
     chunk = _member_chunk(e.topology.n)
     totals = _tally(
         (e.values[start:start + chunk] for start in range(0, e.m, chunk)), e.topology)
-    return [
-        TypeCounts(int(c_min), int(c_max), int(c_sad), e.m)
-        for c_min, c_max, c_sad in totals.T
-    ]
+    return np.rec.fromarrays(totals, names="c_min,c_max,c_saddle")

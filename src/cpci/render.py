@@ -1,4 +1,4 @@
-"""Sunburst-glyph SVG rendering of per-vertex probability summaries.
+"""Sunburst-glyph SVG rendering of per-vertex probability tables.
 
 Each vertex gets a disk split into three fixed 120-degree sectors,
 counterclockwise from the positive x axis: Maximum [90, 210), Minimum
@@ -7,6 +7,12 @@ r_max * sqrt(p), so swept area is proportional to p.  Per sector the
 paint order is: light fill out to p_upper, dark fill out to p_lower on
 top of it, then a black arc stroked at the point estimate's radius.
 Zero probabilities emit no geometry.
+
+`render_map` reads the (3, 3, n) table of `stats.summarize`, indexed
+[type (min, max, sad), stat (hat, lo, hi), vertex].  A path depends only
+on its sector, its role and one probability, so each distinct
+probability's path is formatted once and shared by every vertex that
+has it.
 """
 
 from __future__ import annotations
@@ -15,23 +21,21 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .grid import GridTopology
-from .stats import ProbabilitySummary
 
 __all__ = [
     "GlyphStyle",
-    "GlyphGeometry",
-    "SectorGeometry",
     "SECTORS",
     "glyph_radius",
-    "glyph_geometry",
-    "render_glyph",
     "render_map",
 ]
 
 SECTORS = (("max", 90.0, 210.0), ("min", 210.0, 330.0), ("sad", 330.0, 450.0))
 
 _TYPE_LABELS = {"max": "Maximum", "min": "Minimum", "sad": "Saddle"}
+_TABLE_ROWS = {"min": 0, "max": 1, "sad": 2}   # type axis of the summary table
 _HEX_COLOR = re.compile(r"#[0-9A-Fa-f]{6}\Z")
 _REFERENCE_PROBS = (0.25, 0.5, 0.75, 1.0)
 
@@ -73,43 +77,11 @@ class GlyphStyle:
                 raise ValueError(f"colors[{code!r}] must be a (light, dark) hex pair, got {pair!r}")
 
 
-@dataclass(frozen=True)
-class SectorGeometry:
-    """One type's slice: fixed angular span plus the three encoded radii."""
-
-    code: str
-    start_deg: float
-    end_deg: float
-    radius_hat: float
-    radius_lower: float
-    radius_upper: float
-
-
-@dataclass(frozen=True)
-class GlyphGeometry:
-    sectors: tuple[SectorGeometry, SectorGeometry, SectorGeometry]
-
-
 def glyph_radius(p: float, r_max: float) -> float:
     """Radius encoding probability p: r_max * sqrt(p), so area tracks p."""
     if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"p={p!r} is not a probability")
     return r_max * math.sqrt(p)
-
-
-def glyph_geometry(summary: ProbabilitySummary, style: GlyphStyle) -> GlyphGeometry:
-    sectors = tuple(
-        SectorGeometry(
-            code=code,
-            start_deg=start,
-            end_deg=end,
-            radius_hat=glyph_radius(summary.by_code(code).p_hat, style.r_max),
-            radius_lower=glyph_radius(summary.by_code(code).p_lower, style.r_max),
-            radius_upper=glyph_radius(summary.by_code(code).p_upper, style.r_max),
-        )
-        for code, start, end in SECTORS
-    )
-    return GlyphGeometry(sectors=sectors)
 
 
 def _fmt(value: float) -> str:
@@ -142,41 +114,22 @@ def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
     )
 
 
-def _glyph_paths(summary: ProbabilitySummary, style: GlyphStyle) -> list[str]:
-    paths = []
-    for sector in glyph_geometry(summary, style).sectors:
-        light, dark = style.colors[sector.code]
-        if sector.radius_upper > 0:
-            paths.append(
-                f'<path d="{_sector_path(sector.radius_upper, sector.start_deg, sector.end_deg)}"'
-                f' fill="{light}"/>')
-        if sector.radius_lower > 0:
-            paths.append(
-                f'<path d="{_sector_path(sector.radius_lower, sector.start_deg, sector.end_deg)}"'
-                f' fill="{dark}"/>')
-        if sector.radius_hat > 0:
-            paths.append(
-                f'<path d="{_arc_path(sector.radius_hat, sector.start_deg, sector.end_deg)}"'
-                f' fill="none" stroke="#000000" stroke-width="{_fmt(style.arc_stroke)}"/>')
-    return paths
-
-
-def render_glyph(
-    summary: ProbabilitySummary,
-    style: GlyphStyle,
-    center: tuple[float, float],
-    vertex: tuple[int, int] | None = None,
-) -> str:
-    """One glyph as an SVG `<g>` fragment translated to `center`."""
-    attrs = ""
-    if vertex is not None:
-        attrs = f' data-vertex="{vertex[0]},{vertex[1]}"'
-    cx, cy = center
-    open_tag = f'<g{attrs} transform="translate({_fmt(cx)},{_fmt(cy)})">'
-    paths = _glyph_paths(summary, style)
-    if not paths:
-        return open_tag + "</g>"
-    return open_tag + "\n" + "\n".join(paths) + "\n</g>"
+def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:
+    """Per sector, in paint order (light, dark, arc): the path of every
+    vertex, "" where the probability is 0.  Nine lists of n strings."""
+    arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(style.arc_stroke)}"'
+    pieces = []
+    for code, start, end in SECTORS:
+        light, dark = style.colors[code]
+        for stat, shape, paint in ((2, _sector_path, f'fill="{light}"'),
+                                   (1, _sector_path, f'fill="{dark}"'),
+                                   (0, _arc_path, arc_paint)):
+            distinct, inverse = np.unique(table[_TABLE_ROWS[code], stat], return_inverse=True)
+            radii = [glyph_radius(p, style.r_max) for p in distinct.tolist()]
+            strings = [f'<path d="{shape(r, start, end)}" {paint}/>' if r > 0 else ""
+                       for r in radii]
+            pieces.append([strings[k] for k in inverse.tolist()])
+    return pieces
 
 
 def _legend(style: GlyphStyle, origin_x: float) -> tuple[str, float, float]:
@@ -221,21 +174,24 @@ def _legend(style: GlyphStyle, origin_x: float) -> tuple[str, float, float]:
 
 
 def render_map(
-    summaries: list[ProbabilitySummary],
+    table: np.ndarray,
     topology: GridTopology,
     style: GlyphStyle = GlyphStyle(),
 ) -> str:
     """Full SVG document: one glyph per vertex plus the legend.
 
+    `table` is the (3, 3, n) probability table of `stats.summarize`.
     Vertex (i, j) is centered at (margin + i*cell, margin + (ny-1-j)*cell),
     so j increases upward on screen.  Output is byte-stable for fixed
     inputs; glyph groups appear in linear vertex order.
     """
-    n = topology.n
-    if len(summaries) != n:
-        raise ValueError(f"expected {n} summaries for {topology.nx}x{topology.ny} grid, got {len(summaries)}")
-    grid_w = 2 * style.margin + (topology.nx - 1) * style.cell
-    grid_h = 2 * style.margin + (topology.ny - 1) * style.cell
+    nx, ny, n = topology.nx, topology.ny, topology.n
+    table = np.asarray(table, dtype=np.float64)
+    if table.shape != (3, 3, n):
+        raise ValueError(
+            f"expected a (3, 3, {n}) table for {nx}x{ny} grid, got shape {table.shape}")
+    grid_w = 2 * style.margin + (nx - 1) * style.cell
+    grid_h = 2 * style.margin + (ny - 1) * style.cell
     legend, legend_w, legend_h = _legend(style, grid_w)
     width = grid_w + legend_w
     height = max(grid_h, legend_h)
@@ -245,11 +201,13 @@ def render_map(
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    for v in range(n):
-        i, j = topology.coords(v)
-        cx = style.margin + i * style.cell
-        cy = style.margin + (topology.ny - 1 - j) * style.cell
-        parts.append(render_glyph(summaries[v], style, (cx, cy), vertex=(i, j)))
+    xs = [_fmt(style.margin + i * style.cell) for i in range(nx)]
+    ys = [_fmt(style.margin + (ny - 1 - j) * style.cell) for j in range(ny)]
+    for v, paths in enumerate(zip(*_sector_paths(table, style))):
+        i, j = v % nx, v // nx
+        open_tag = f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
+        body = "\n".join(path for path in paths if path)
+        parts.append(f"{open_tag}\n{body}\n</g>" if body else open_tag + "</g>")
     parts.append(legend)
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

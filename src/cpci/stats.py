@@ -1,5 +1,10 @@
 """Binomial point estimates, Jeffreys intervals, and coverage validation.
 
+`jeffreys_interval` is the scalar API for one count; `summarize` turns a
+(3, n) array of per-vertex type counts into one (3, 3, n) float table
+indexed [type (min, max, sad), stat (hat, lo, hi), vertex], evaluating
+the quantiles once per distinct count.
+
 The Beta special-function kernel is self-contained: the regularized
 incomplete beta function I_x(a, b) is evaluated with the standard
 continued fraction (modified Lentz iteration) behind the symmetry
@@ -19,7 +24,6 @@ import numpy as np
 __all__ = [
     "ConfidenceLevel",
     "IntervalEstimate",
-    "ProbabilitySummary",
     "CoverageReport",
     "DEFAULT_LEVEL",
     "regularized_incomplete_beta",
@@ -35,6 +39,7 @@ _CF_EPS = 1e-15          # continued-fraction relative convergence
 _CF_MAX_ITER = 2000      # ample for a, b well beyond 1e4
 _Q_TOL = 1e-12           # quantile convergence, measured in q-space
 _Q_MAX_ITER = 200
+_COUNT_NAMES = ("c_min", "c_max", "c_saddle")
 
 
 @dataclass(frozen=True)
@@ -83,27 +88,6 @@ class IntervalEstimate:
     @property
     def width(self) -> float:
         return self.p_upper - self.p_lower
-
-
-@dataclass(frozen=True)
-class ProbabilitySummary:
-    """The nine per-vertex values: one IntervalEstimate per critical type."""
-
-    minimum: IntervalEstimate
-    maximum: IntervalEstimate
-    saddle: IntervalEstimate
-    gamma: float | None = None
-
-    def __post_init__(self):
-        sizes = {est.m for est in (self.minimum, self.maximum, self.saddle)}
-        if len(sizes) > 1:
-            raise ValueError(f"interval estimates disagree on m: {sorted(sizes, key=str)}")
-
-    def by_code(self, code: str) -> IntervalEstimate:
-        try:
-            return {"min": self.minimum, "max": self.maximum, "sad": self.saddle}[code]
-        except KeyError:
-            raise ValueError(f"unknown type code {code!r}") from None
 
 
 @dataclass(frozen=True)
@@ -305,14 +289,40 @@ def jeffreys_interval(
     return IntervalEstimate(p_hat=p_hat, p_lower=lower, p_upper=upper, c=c, m=m)
 
 
-def summarize(counts, level: ConfidenceLevel = DEFAULT_LEVEL) -> ProbabilitySummary:
-    """Jeffreys intervals for all three critical types of one vertex."""
-    return ProbabilitySummary(
-        minimum=jeffreys_interval(counts.c_min, counts.m, level),
-        maximum=jeffreys_interval(counts.c_max, counts.m, level),
-        saddle=jeffreys_interval(counts.c_saddle, counts.m, level),
-        gamma=level.gamma,
-    )
+def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndarray:
+    """Point estimates and Jeffreys intervals of every vertex at once.
+
+    `counts` is a (3, n) integer array of (min, max, saddle) counts out
+    of m.  Returns a float64 (3, 3, n) table indexed [type, stat
+    (hat, lo, hi), vertex], so `table.reshape(9, n).T` is the summary CSV
+    row order.  Each entry equals `jeffreys_interval(c, m, level)`; the
+    bounds are evaluated once per distinct count.
+    """
+    counts = np.asarray(counts)
+    if counts.ndim != 2 or counts.shape[0] != 3 or counts.dtype.kind not in "iu":
+        raise ValueError(
+            f"counts must be a (3, n) integer array, got {counts.dtype} {counts.shape}")
+    if m < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {m}")
+    if not isinstance(level, ConfidenceLevel):
+        raise ValueError(f"level must be a ConfidenceLevel, got {level!r}")
+    outside = (counts < 0) | (counts > m)
+    if outside.any():
+        row, v = np.argwhere(outside)[0].tolist()
+        raise ValueError(
+            f"{_COUNT_NAMES[row]}={counts[row, v]} at vertex {v} outside [0, {m}]")
+    over = counts.sum(axis=0) > m
+    if over.any():
+        v = int(np.argmax(over))
+        raise ValueError(
+            f"type counts {counts[:, v].tolist()} at vertex {v} exceed ensemble size {m}")
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    bounds = np.array(
+        [_jeffreys_bounds(c, int(m), level.gamma) for c in distinct.tolist()]).reshape(-1, 2)
+    table = np.empty((3, 3, counts.shape[1]))
+    table[:, 0] = counts / m
+    table[:, 1:] = np.moveaxis(bounds[inverse.reshape(counts.shape)], -1, 1)
+    return table
 
 
 def coverage_experiment(

@@ -18,9 +18,9 @@ from typing import IO
 
 import numpy as np
 
-from .critical import TypeCounts, _member_chunk, _tally
+from .critical import _member_chunk, _tally
 from .grid import Ensemble, GridTopology, _LineReader, _block_rows
-from .stats import ConfidenceLevel, DEFAULT_LEVEL, ProbabilitySummary, summarize
+from .stats import ConfidenceLevel, DEFAULT_LEVEL, summarize
 
 __all__ = [
     "MomentModel",
@@ -112,10 +112,11 @@ def ground_truth_probabilities(
     n_draws: int,
     seed: int = 0,
     level: ConfidenceLevel = DEFAULT_LEVEL,
-) -> list[ProbabilitySummary]:
+) -> np.ndarray:
     """Monte-Carlo reference probabilities from a large synthetic ensemble.
 
-    Classifies n_draws fresh members and summarizes per-vertex counts;
+    Classifies n_draws fresh members and summarizes per-vertex counts
+    into the (3, 3, n) table of `stats.summarize`;
     interval widths shrink like 1/sqrt(n_draws), collapsing toward the
     model's true type probabilities.  Members are generated in chunks,
     so memory stays bounded for large n_draws.
@@ -128,10 +129,7 @@ def ground_truth_probabilities(
         (_draw_members(model, start, min(start + chunk, n_draws), seed)
          for start in range(0, n_draws, chunk)),
         model.topology)
-    return [
-        summarize(TypeCounts(int(c_min), int(c_max), int(c_sad), n_draws), level)
-        for c_min, c_max, c_sad in counts.T
-    ]
+    return summarize(counts, n_draws, level)
 
 
 def save_moment_model(model: MomentModel, sink: IO[bytes]) -> None:

@@ -291,14 +291,12 @@ def test_criterion_6_synthetic_study_false_positive_rate():
         for _ in range(10):
             ensemble = sample_ensemble(model, m, seed=master_seed * 1000 + 100 + ordinal)
             ordinal += 1
-            for v, counts in enumerate(count_types(ensemble)):
-                summary = summarize(counts)
-                for code in ("min", "max", "sad"):
-                    lower = summary.by_code(code).p_lower
-                    if lower > 0:
-                        pairs += 1
-                        if truth[v].by_code(code).p_hat < lower:
-                            false_positives += 1
+            records = count_types(ensemble)
+            table = summarize(
+                np.stack((records.c_min, records.c_max, records.c_saddle)), m)
+            lower = table[:, 1]
+            pairs += int((lower > 0).sum())
+            false_positives += int(((lower > 0) & (truth[:, 0] < lower)).sum())
 
     fraction = false_positives / pairs if pairs else float("nan")
     elapsed = time.perf_counter() - start
@@ -347,10 +345,10 @@ def test_criterion_7_sampler_moments():
 
 
 def test_criterion_8_rendering():
-    topology, summaries, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+    topology, table, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
     style = GlyphStyle()
-    first = render_map(summaries, topology, style)
-    second = render_map(summaries, topology, style)
+    first = render_map(table, topology, style)
+    second = render_map(table, topology, style)
     golden = (DATA / "golden_map_4x4.svg").read_bytes().decode("utf-8")
     stable = first == second == golden
 
@@ -363,18 +361,18 @@ def test_criterion_8_rendering():
     checked = 0
     for match in glyph_re.finditer(first):
         i, j, body = int(match.group(1)), int(match.group(2)), match.group(3)
-        summary = summaries[topology.linear(i, j)]
+        v = topology.linear(i, j)
         # per sector the emitted order is light fill, dark fill, black arc,
         # sectors in max/min/sad order; compare the whole event sequence
         expected: list[tuple[str, float]] = []
-        for code in ("max", "min", "sad"):
-            est = summary.by_code(code)
-            if est.p_upper > 0:
-                expected.append((light[code], est.p_upper))
-            if est.p_lower > 0:
-                expected.append((dark[code], est.p_lower))
-            if est.p_hat > 0:
-                expected.append(("none", est.p_hat))
+        for code, row in (("max", 1), ("min", 0), ("sad", 2)):
+            p_hat, p_lower, p_upper = table[row, :, v]
+            if p_upper > 0:
+                expected.append((light[code], p_upper))
+            if p_lower > 0:
+                expected.append((dark[code], p_lower))
+            if p_hat > 0:
+                expected.append(("none", p_hat))
         got = path_re.findall(body)
         if len(got) != len(expected):
             order_ok = False

@@ -119,7 +119,7 @@ class TestEstimate:
         for line in lines[1:]:
             i, j, c_min, c_max, c_sad, m = (int(t) for t in line.split(","))
             c = counts[topology.linear(i, j)]
-            assert (c.c_min, c.c_max, c.c_saddle, c.m) == (c_min, c_max, c_sad, m)
+            assert (c.c_min, c.c_max, c.c_saddle, len(members)) == (c_min, c_max, c_sad, m)
         assert len(lines) == 1 + topology.n
 
     def test_gamma_is_recorded(self, tmp_path, topo33):
@@ -193,6 +193,65 @@ class TestQuery:
         stripped.write_text("\n".join(lines[1:]) + "\n")
         code, _, err = run_cli("query", "--input", str(stripped), "0", "0")
         assert code == 2 and "metadata" in err
+
+    @staticmethod
+    def _set_cell(lines, k, value):
+        cells = lines[6].split(",")   # vertex (1, 1) of the 3x3 summary
+        cells[k] = value
+        lines[6] = ",".join(cells)
+
+    @pytest.mark.parametrize("mutate, fragments", [
+        pytest.param(lambda ls: ls.__setitem__(1, ls[1].replace("sad_hi", "sad_top")),
+                     ["unexpected header", "sad_top"], id="header"),
+        pytest.param(lambda ls: ls.__setitem__(6, ls[6].rsplit(",", 1)[0]),
+                     ["expected 11 fields per row, got 10", "'1,1,"], id="ten-fields"),
+        pytest.param(lambda ls: TestQuery._set_cell(ls, 4, "abc"),
+                     ["malformed row", "'1,1,", "abc"], id="non-number"),
+        pytest.param(lambda ls: TestQuery._set_cell(ls, 0, "-1"),
+                     ["negative vertex index", "'-1,1,"], id="negative-index"),
+        pytest.param(lambda ls: ls.append(ls[6]),
+                     ["duplicate vertex (1, 1)"], id="duplicate"),
+        pytest.param(lambda ls: ls.pop(6),
+                     ["missing vertex (1, 1)", "8 rows do not cover the 3x3 grid"],
+                     id="missing"),
+        pytest.param(lambda ls: TestQuery._set_cell(ls, 2, "1.5"),
+                     ["vertex (1, 1)", "=1.5 is not a probability"], id="above-one"),
+        pytest.param(lambda ls: TestQuery._set_cell(ls, 3, "nan"),
+                     ["vertex (1, 1)", "=nan is not a probability"], id="nan"),
+        pytest.param(lambda ls: (TestQuery._set_cell(ls, 3, "0.9"),
+                                 TestQuery._set_cell(ls, 4, "0.1")),
+                     ["vertex (1, 1)", "=0.9 exceeds", "=0.1"], id="lo-above-hi"),
+    ])
+    def test_malformed_summary_rejected(self, tmp_path, summary_csv, mutate, fragments):
+        lines = summary_csv.read_text().splitlines()
+        mutate(lines)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, stdout, err = run_cli("query", "--input", str(bad), "0", "0")
+        assert code == 2 and stdout == ""
+        assert err.startswith("cpci: error: ")
+        for fragment in fragments:
+            assert fragment in err
+
+    def test_p_hat_outside_interval_reads_back(self, tmp_path, topo33):
+        # At gamma = 0.1 the Jeffreys interval of c = 1 (and 49) out of 50
+        # excludes c/m, so the readers must not demand p_lo <= p_hat <= p_hi.
+        ramp = grid_field(topo33, lambda i, j: float(i + j))
+        egf = tmp_path / "in.egf"
+        summary = tmp_path / "summary.csv"
+        write_egf(egf, topo33, np.stack([ramp] * 49 + [bump(topo33)]))
+        code, _, _ = run_cli("estimate", "--input", str(egf), "--output", str(summary),
+                             "--gamma", "0.1")
+        assert code == 0
+        rows = np.array([l.split(",") for l in summary.read_text().splitlines()[2:]],
+                        dtype=float)
+        hat, lo, hi = rows[:, 2::3], rows[:, 3::3], rows[:, 4::3]
+        assert ((hat < lo) | (hat > hi)).any()
+        code, stdout, _ = run_cli("query", "--input", str(summary), "1", "1")
+        assert code == 0 and "max  p_hat=0.02  p_lower=0.0209781351" in stdout
+        code, _, _ = run_cli("render", "--input", str(summary),
+                             "--output", str(tmp_path / "map.svg"))
+        assert code == 0 and (tmp_path / "map.svg").exists()
 
 
 class TestRender:

@@ -5,7 +5,6 @@ import pytest
 
 from cpci.critical import (
     CriticalType,
-    TypeCounts,
     _classify_codes,
     classify_field,
     classify_vertex,
@@ -258,8 +257,8 @@ class TestCountTypes:
         e = Ensemble(topo33, [field])
         counts = count_types(e)
         types = classify_field(field, topo33)
+        assert len(counts) == topo33.n
         for v, c in enumerate(counts):
-            assert c.m == 1
             assert c.c_min == (types[v] == CriticalType.MINIMUM)
             assert c.c_max == (types[v] == CriticalType.MAXIMUM)
             assert c.c_saddle == (types[v] == CriticalType.SADDLE)
@@ -268,7 +267,6 @@ class TestCountTypes:
         field = np.random.default_rng(4).normal(size=9)
         e = Ensemble(topo33, [field] * 4)
         for c in count_types(e):
-            assert c.m == 4
             assert {c.c_min, c.c_max, c.c_saddle} <= {0, 4}
 
     def test_counts_match_per_member_recount(self):
@@ -285,12 +283,19 @@ class TestCountTypes:
             assert counts[v].c_saddle == sum(
                 c == CriticalType.SADDLE for c in per_member)
 
+    def test_record_fields(self):
+        t = GridTopology(3, 2)
+        counts = count_types(Ensemble(t, np.random.default_rng(5).normal(size=(4, t.n))))
+        assert counts.shape == (t.n,)
+        assert counts.dtype.names == ("c_min", "c_max", "c_saddle")
+        assert all(counts.dtype[name] == np.int64 for name in counts.dtype.names)
+
     def test_result_independent_of_chunk_size(self, monkeypatch):
         t = GridTopology(5, 4)
         members = np.round(np.random.default_rng(47).normal(size=(20, t.n)) * 2)
         base = count_types(Ensemble(t, members))
         monkeypatch.setattr("cpci.critical._member_chunk", lambda n: 7)
-        assert count_types(Ensemble(t, members)) == base
+        assert np.array_equal(count_types(Ensemble(t, members)), base)
 
     @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
     def test_single_row_or_column_rejected(self, nx, ny):
@@ -301,17 +306,4 @@ class TestCountTypes:
         t = GridTopology(6, 5)
         members = np.random.default_rng(43).normal(size=(7, t.n))
         for c in count_types(Ensemble(t, members)):
-            assert c.c_min + c.c_max + c.c_saddle <= c.m
-
-
-class TestTypeCounts:
-    def test_validation(self):
-        TypeCounts(1, 2, 3, 9)
-        with pytest.raises(ValueError):
-            TypeCounts(-1, 0, 0, 9)
-        with pytest.raises(ValueError):
-            TypeCounts(10, 0, 0, 9)
-        with pytest.raises(ValueError):
-            TypeCounts(4, 4, 4, 9)
-        with pytest.raises(ValueError):
-            TypeCounts(0, 0, 0, 0)
+            assert c.c_min + c.c_max + c.c_saddle <= 7

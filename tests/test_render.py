@@ -9,30 +9,37 @@ from cpci.grid import GridTopology
 from cpci.render import (
     GlyphStyle,
     SECTORS,
-    glyph_geometry,
     glyph_radius,
-    render_glyph,
     render_map,
 )
-from cpci.stats import IntervalEstimate, ProbabilitySummary
 
-ZERO = IntervalEstimate(0, 0, 0)
-ZERO_SUMMARY = ProbabilitySummary(ZERO, ZERO, ZERO, gamma=0.95)
+ROW = {"min": 0, "max": 1, "sad": 2}   # type axis of the (3, 3, n) table
+ZERO_TABLE = np.zeros((3, 3, 1))
 
 LIGHT = {"max": "#F4B6B6", "min": "#B6CDF4", "sad": "#BCE4BC"}
 DARK = {"max": "#C0392B", "min": "#2B5AC0", "sad": "#2E8B40"}
 
 GLYPH_RE = re.compile(r'<g data-vertex="(\d+),(\d+)"[^>]*>(.*?)</g>', re.S)
 ARC_RADIUS_RE = re.compile(r'A ([0-9.eE+-]+) ')
+LIGHT_PATH_RE = re.compile(
+    r'<path d="M 0 0 L (\S+) (\S+) A (\S+) \S+ 0 0 0 (\S+) (\S+) Z" fill="([^"]+)"/>')
 
 
-def summary_from(triples) -> ProbabilitySummary:
-    """triples: dict code -> (hat, lo, hi)."""
-    ests = {
-        code: IntervalEstimate(*triples.get(code, (0, 0, 0)))
-        for code in ("min", "max", "sad")
-    }
-    return ProbabilitySummary(ests["min"], ests["max"], ests["sad"], gamma=0.95)
+def table_from(triples) -> np.ndarray:
+    """triples: dict code -> (hat, lo, hi); a one-vertex (3, 3, 1) table."""
+    return np.array(
+        [triples.get(code, (0, 0, 0)) for code in ("min", "max", "sad")],
+        dtype=np.float64)[:, :, None]
+
+
+def glyph(table, style=GlyphStyle()) -> str:
+    """The one glyph group of a 1x1 map."""
+    return GLYPH_RE.search(render_map(table, GridTopology(1, 1), style)).group(0)
+
+
+def _degrees(x: str, y: str) -> float:
+    # SVG y grows downward
+    return math.degrees(math.atan2(-float(y), float(x))) % 360.0
 
 
 class TestGlyphRadius:
@@ -54,21 +61,25 @@ class TestGlyphRadius:
 
 class TestGlyphGeometry:
     def test_sectors_are_fixed_120_degree_slices(self):
-        geo = glyph_geometry(ZERO_SUMMARY, GlyphStyle())
-        spans = [(s.code, s.start_deg, s.end_deg) for s in geo.sectors]
-        assert spans == [("max", 90.0, 210.0), ("min", 210.0, 330.0),
-                         ("sad", 330.0, 450.0)]
-        assert all(s.end_deg - s.start_deg == 120.0 for s in geo.sectors)
+        assert list(SECTORS) == [("max", 90.0, 210.0), ("min", 210.0, 330.0),
+                                 ("sad", 330.0, 450.0)]
+        assert all(end - start == 120.0 for _, start, end in SECTORS)
+        full = table_from({code: (1, 1, 1) for code in ("min", "max", "sad")})
+        light = {fill: m for *m, fill in LIGHT_PATH_RE.findall(glyph(full))}
+        for code, start, end in SECTORS:
+            x1, y1, _, x2, y2 = light[LIGHT[code]]
+            assert _degrees(x1, y1) == pytest.approx(start % 360.0, abs=1e-5)
+            assert _degrees(x2, y2) == pytest.approx(end % 360.0, abs=1e-5)
 
     def test_radii_follow_estimates(self):
         style = GlyphStyle()
-        summary = summary_from({"min": (0.25, 0.04, 0.64)})
-        geo = glyph_geometry(summary, style)
-        sector = next(s for s in geo.sectors if s.code == "min")
-        assert sector.radius_hat == pytest.approx(9.0)
-        assert sector.radius_lower == pytest.approx(0.2 * 18)
-        assert sector.radius_upper == pytest.approx(0.8 * 18)
-        assert sector.radius_lower <= sector.radius_upper
+        frag = glyph(table_from({"min": (0.25, 0.04, 0.64)}), style)
+        upper, lower, hat = (float(r) for r in ARC_RADIUS_RE.findall(frag))
+        assert hat == pytest.approx(9.0)
+        assert lower == pytest.approx(0.2 * 18)
+        assert upper == pytest.approx(0.8 * 18)
+        assert lower <= upper
+        assert f'fill="{LIGHT["min"]}"' in frag and f'fill="{DARK["min"]}"' in frag
 
 
 class TestGlyphStyle:
@@ -101,13 +112,12 @@ class TestGlyphStyle:
 
 class TestRenderGlyph:
     def test_all_zero_emits_no_paths(self):
-        frag = render_glyph(ZERO_SUMMARY, GlyphStyle(), (5, 5))
+        frag = glyph(ZERO_TABLE)
         assert "<path" not in frag
         assert frag.startswith("<g ")
 
     def test_certain_minimum_is_single_dark_sector_with_arc(self):
-        summary = summary_from({"min": (1, 1, 1)})
-        frag = render_glyph(summary, GlyphStyle(), (0, 0))
+        frag = glyph(table_from({"min": (1, 1, 1)}))
         paths = re.findall(r"<path[^>]*>", frag)
         assert len(paths) == 3
         assert f'fill="{LIGHT["min"]}"' in paths[0]
@@ -117,19 +127,18 @@ class TestRenderGlyph:
             assert "A 18 18" in path
 
     def test_degenerate_interval_coincides(self):
-        summary = summary_from({"sad": (0.25, 0.25, 0.25)})
-        frag = render_glyph(summary, GlyphStyle(), (0, 0))
+        frag = glyph(table_from({"sad": (0.25, 0.25, 0.25)}))
         radii = ARC_RADIUS_RE.findall(frag)
         assert radii == ["9", "9", "9"]
 
     def test_vertex_attribute(self):
-        frag = render_glyph(ZERO_SUMMARY, GlyphStyle(), (1, 2), vertex=(3, 4))
-        assert 'data-vertex="3,4"' in frag
+        doc = render_map(np.zeros((3, 3, 20)), GridTopology(4, 5))
+        assert '<g data-vertex="3,4" transform="translate(150,30)">' in doc
+        assert 'data-vertex="0,0"' in glyph(ZERO_TABLE)
 
     def test_paint_order_light_dark_arc(self):
-        summary = summary_from({
-            "min": (0.3, 0.1, 0.6), "max": (0.2, 0.05, 0.5), "sad": (0.7, 0.4, 0.9)})
-        frag = render_glyph(summary, GlyphStyle(), (0, 0))
+        frag = glyph(table_from({
+            "min": (0.3, 0.1, 0.6), "max": (0.2, 0.05, 0.5), "sad": (0.7, 0.4, 0.9)}))
         for code in ("min", "max", "sad"):
             li = frag.find(f'fill="{LIGHT[code]}"')
             di = frag.find(f'fill="{DARK[code]}"')
@@ -138,21 +147,16 @@ class TestRenderGlyph:
         assert len(arcs) == 3
 
 
-def random_summaries(rng, count):
-    out = []
-    for _ in range(count):
-        triples = {}
-        for code in ("min", "max", "sad"):
-            lo, hat, hi = np.sort(rng.uniform(0, 1, size=3))
-            triples[code] = (hat, lo, hi)
-        out.append(summary_from(triples))
-    return out
+def random_table(rng, count) -> np.ndarray:
+    """(3, 3, count) table with lo <= hat <= hi in every (type, vertex)."""
+    lo_hat_hi = np.sort(rng.uniform(0, 1, size=(count, 3, 3)), axis=-1)
+    return lo_hat_hi[:, :, [1, 0, 2]].transpose(1, 2, 0)
 
 
 class TestRenderMap:
     def test_layout_centers(self):
         t = GridTopology(3, 2)
-        doc = render_map([ZERO_SUMMARY] * 6, t)
+        doc = render_map(np.zeros((3, 3, 6)), t)
         centers = {
             (int(m.group(1)), int(m.group(2))): m.group(0)
             for m in GLYPH_RE.finditer(doc)
@@ -163,7 +167,7 @@ class TestRenderMap:
 
     def test_single_row_grid_renders(self):
         t = GridTopology(2, 1)
-        doc = render_map([ZERO_SUMMARY, ZERO_SUMMARY], t)
+        doc = render_map(np.zeros((3, 3, 2)), t)
         glyphs = GLYPH_RE.findall(doc)
         assert len(glyphs) == 2
         assert all(body.strip() == "" for _, _, body in glyphs)
@@ -174,15 +178,15 @@ class TestRenderMap:
         rng = np.random.default_rng(101)
         t = GridTopology(4, 3)
         style = GlyphStyle()
-        summaries = random_summaries(rng, t.n)
-        doc = render_map(summaries, t, style)
+        table = random_table(rng, t.n)
+        doc = render_map(table, t, style)
         checked = 0
         for match in GLYPH_RE.finditer(doc):
             i, j, body = int(match.group(1)), int(match.group(2)), match.group(3)
-            summary = summaries[t.linear(i, j)]
+            v = t.linear(i, j)
             for code in ("min", "max", "sad"):
-                est = summary.by_code(code)
-                for color, p in ((LIGHT[code], est.p_upper), (DARK[code], est.p_lower)):
+                hat, lo, hi = table[ROW[code], :, v]
+                for color, p in ((LIGHT[code], hi), (DARK[code], lo)):
                     path = re.search(
                         r'<path d="[^"]*A ([0-9.eE+-]+) [^"]*" fill="%s"/>' % color,
                         body)
@@ -195,7 +199,7 @@ class TestRenderMap:
         assert checked > 30
 
     def test_legend_contents(self):
-        doc = render_map([ZERO_SUMMARY], GridTopology(1, 1))
+        doc = render_map(ZERO_TABLE, GridTopology(1, 1))
         legend = doc[doc.index('<g id="legend"'):]
         for code in ("min", "max", "sad"):
             assert f'fill="{LIGHT[code]}"' in legend
@@ -208,16 +212,23 @@ class TestRenderMap:
     def test_byte_stable(self):
         rng = np.random.default_rng(55)
         t = GridTopology(3, 3)
-        summaries = random_summaries(rng, t.n)
-        assert render_map(summaries, t) == render_map(summaries, t)
+        table = random_table(rng, t.n)
+        assert render_map(table, t) == render_map(table, t)
 
     def test_wrong_summary_count_rejected(self):
-        with pytest.raises(ValueError):
-            render_map([ZERO_SUMMARY] * 3, GridTopology(2, 2))
+        with pytest.raises(ValueError, match=r"\(3, 3, 4\) table"):
+            render_map(np.zeros((3, 3, 3)), GridTopology(2, 2))
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, math.nan])
+    def test_non_probability_rejected(self, p):
+        table = np.zeros((3, 3, 4))
+        table[2, 1, 3] = p
+        with pytest.raises(ValueError, match="not a probability"):
+            render_map(table, GridTopology(2, 2))
 
     def test_glyph_groups_in_linear_order(self):
         t = GridTopology(3, 2)
-        doc = render_map([ZERO_SUMMARY] * 6, t)
+        doc = render_map(np.zeros((3, 3, 6)), t)
         order = [
             (int(m.group(1)), int(m.group(2))) for m in GLYPH_RE.finditer(doc)]
         assert order == [t.coords(v) for v in range(6)]
@@ -230,7 +241,7 @@ class TestGoldenMap:
     def test_fixture_renders_byte_identical(self):
         from cpci.cli import _read_summary_csv
 
-        topo, summaries, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
-        doc = render_map(summaries, topo, GlyphStyle())
+        topo, table, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+        doc = render_map(table, topo, GlyphStyle())
         golden = (DATA / "golden_map_4x4.svg").read_bytes().decode("utf-8")
         assert doc == golden

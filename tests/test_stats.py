@@ -8,7 +8,6 @@ from cpci.stats import (
     CoverageReport,
     DEFAULT_LEVEL,
     IntervalEstimate,
-    ProbabilitySummary,
     beta_quantile,
     coverage_experiment,
     jeffreys_interval,
@@ -16,7 +15,6 @@ from cpci.stats import (
     regularized_incomplete_beta,
     summarize,
 )
-from cpci.critical import TypeCounts
 
 
 # --- independent oracle -------------------------------------------------
@@ -294,40 +292,63 @@ class TestJeffreysInterval:
 
 class TestSummarize:
     def test_all_zero_counts(self):
-        summary = summarize(TypeCounts(0, 0, 0, 5))
-        for code in ("min", "max", "sad"):
-            est = summary.by_code(code)
-            assert est.p_hat == 0.0
-            assert est.p_lower == 0.0
+        table = summarize(np.zeros((3, 1), dtype=int), 5)
+        assert table.shape == (3, 3, 1)
+        assert (table[:, 0] == 0.0).all()
+        assert (table[:, 1] == 0.0).all()
 
     def test_full_minimum_count(self):
-        summary = summarize(TypeCounts(5, 0, 0, 5))
-        assert summary.minimum.p_hat == 1.0
-        assert summary.minimum.p_upper == 1.0
+        table = summarize(np.array([[5], [0], [0]]), 5)
+        assert table[0, 0, 0] == 1.0
+        assert table[0, 2, 0] == 1.0
 
     def test_components_equal_direct_calls(self):
-        summary = summarize(TypeCounts(2, 1, 0, 9))
-        assert summary.minimum == jeffreys_interval(2, 9)
-        assert summary.maximum == jeffreys_interval(1, 9)
-        assert summary.saddle == jeffreys_interval(0, 9)
-        assert summary.gamma == 0.95
+        table = summarize(np.array([[2], [1], [0]]), 9)
+        for row, c in enumerate((2, 1, 0)):
+            est = jeffreys_interval(c, 9)
+            assert tuple(table[row, :, 0]) == (est.p_hat, est.p_lower, est.p_upper)
 
     def test_estimates_share_m(self):
-        summary = summarize(TypeCounts(1, 2, 3, 9))
-        assert {summary.minimum.m, summary.maximum.m, summary.saddle.m} == {9}
+        counts = np.array([[1, 0], [2, 9], [3, 0]])
+        table = summarize(counts, 9)
+        assert np.array_equal(table[:, 0], counts / 9)
 
-    def test_mismatched_m_rejected(self):
-        with pytest.raises(ValueError):
-            ProbabilitySummary(
-                minimum=jeffreys_interval(1, 9),
-                maximum=jeffreys_interval(1, 10),
-                saddle=jeffreys_interval(1, 9),
-            )
+    @pytest.mark.parametrize("gamma", [0.5, 0.95, 0.999])
+    @pytest.mark.parametrize("m", [1, 9, 50, 100_000])
+    def test_every_entry_equals_scalar_interval(self, m, gamma):
+        rng = np.random.default_rng([m, int(gamma * 1000)])
+        counts = rng.integers(0, m + 1, size=(3, 40))
+        counts[:, :2] = [[0, m], [m, 0], [0, 0]]        # both pins at every m
+        over = counts.sum(axis=0) > m
+        counts[:, over] = counts[:, over] // 3           # keep per-vertex sums <= m
+        level = ConfidenceLevel(gamma)
+        table = summarize(counts, m, level)
+        assert table.dtype == np.float64 and table.shape == (3, 3, 40)
+        for row in range(3):
+            for v in range(40):
+                c = int(counts[row, v])
+                est = jeffreys_interval(c, m, level)
+                assert table[row, 0, v] == point_estimate(c, m) == est.p_hat
+                assert (table[row, 1, v], table[row, 2, v]) == (est.p_lower, est.p_upper)
 
-    def test_by_code_rejects_unknown(self):
-        summary = summarize(TypeCounts(0, 0, 0, 5))
-        with pytest.raises(ValueError):
-            summary.by_code("regular")
+    def test_rejects_invalid_counts(self):
+        summarize(np.array([[1], [2], [3]]), 9)
+        with pytest.raises(ValueError, match="ensemble size"):
+            summarize(np.array([[0], [0], [0]]), 0)
+        with pytest.raises(ValueError, match="c_min=-1 at vertex 0 outside"):
+            summarize(np.array([[-1], [0], [0]]), 9)
+        with pytest.raises(ValueError, match="c_saddle=10 at vertex 1 outside"):
+            summarize(np.array([[0, 0], [0, 0], [0, 10]]), 9)
+        with pytest.raises(ValueError, match="exceed ensemble size 9"):
+            summarize(np.array([[4], [4], [4]]), 9)
+
+    def test_rejects_bad_shape_or_level(self):
+        with pytest.raises(ValueError, match=r"\(3, n\) integer"):
+            summarize(np.zeros((2, 4), dtype=int), 9)
+        with pytest.raises(ValueError, match=r"\(3, n\) integer"):
+            summarize(np.zeros((3, 4)), 9)
+        with pytest.raises(ValueError, match="ConfidenceLevel"):
+            summarize(np.zeros((3, 4), dtype=int), 9, 0.95)
 
 
 # --- coverage experiment -------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from cpci.critical import CriticalType, _member_chunk, classify_field
 from cpci.grid import Ensemble, GridTopology, ParseError, save_ensemble
-from cpci.stats import ConfidenceLevel
+from cpci.stats import ConfidenceLevel, summarize
 from cpci.synth import (
     MomentModel,
     _draw_members,
@@ -188,56 +188,57 @@ class TestGroundTruth:
         mean = np.zeros(9)
         mean[t.linear(1, 1)] = 5.0
         model = MomentModel(t, mean, np.zeros((9, 1)))
-        summaries = ground_truth_probabilities(model, 17, seed=0)
-        center = summaries[t.linear(1, 1)]
-        assert center.maximum.p_hat == 1.0
-        assert center.minimum.p_hat == 0.0
-        assert center.saddle.p_hat == 0.0
+        table = ground_truth_probabilities(model, 17, seed=0)
+        hat = table[:, 0]
+        assert table.shape == (3, 3, 9)
+        center = t.linear(1, 1)
+        assert hat[1, center] == 1.0
+        assert hat[0, center] == 0.0
+        assert hat[2, center] == 0.0
         # deterministic fields classify identically in every draw
         types = classify_field(mean, t)
-        for v, summary in enumerate(summaries):
-            assert summary.minimum.p_hat == float(types[v] == CriticalType.MINIMUM)
-            assert summary.maximum.p_hat == float(types[v] == CriticalType.MAXIMUM)
-            assert summary.saddle.p_hat == float(types[v] == CriticalType.SADDLE)
+        for v in range(t.n):
+            assert hat[0, v] == float(types[v] == CriticalType.MINIMUM)
+            assert hat[1, v] == float(types[v] == CriticalType.MAXIMUM)
+            assert hat[2, v] == float(types[v] == CriticalType.SADDLE)
 
     def test_large_draw_intervals_are_narrow(self):
         model = _random_model()
-        summaries = ground_truth_probabilities(model, 100_000, seed=1)
-        widths = [
-            summary.by_code(code).width
-            for summary in summaries for code in ("min", "max", "sad")
-        ]
-        assert max(widths) <= 0.02
+        table = ground_truth_probabilities(model, 100_000, seed=1)
+        widths = table[:, 2] - table[:, 1]
+        assert widths.max() <= 0.02
 
     def test_same_seed_identical(self):
         model = _random_model()
         s1 = ground_truth_probabilities(model, 500, seed=4)
         s2 = ground_truth_probabilities(model, 500, seed=4)
-        assert s1 == s2
+        assert np.array_equal(s1, s2)
 
     def test_counts_match_plain_classification(self):
         model = _random_model()
         n_draws = 300
-        summaries = ground_truth_probabilities(model, n_draws, seed=6)
+        table = ground_truth_probabilities(model, n_draws, seed=6)
         members = sample_ensemble(model, n_draws, seed=6).values
         t = model.topology
         for v in range(t.n):
             per_member = [classify_field(member, t)[v] for member in members]
             c_min = sum(c == CriticalType.MINIMUM for c in per_member)
-            assert summaries[v].minimum.p_hat == pytest.approx(c_min / n_draws)
+            assert table[0, 0, v] == pytest.approx(c_min / n_draws)
 
     def test_result_independent_of_chunk_size(self, monkeypatch):
         model = _random_model()
         base = ground_truth_probabilities(model, 50, seed=6)
         monkeypatch.setattr("cpci.synth._member_chunk", lambda n: 7)
         chunked = ground_truth_probabilities(model, 50, seed=6)
-        assert chunked == base
+        assert np.array_equal(chunked, base)
 
     def test_gamma_passthrough(self):
         model = _random_model()
-        summaries = ground_truth_probabilities(
-            model, 100, seed=2, level=ConfidenceLevel(0.5))
-        assert summaries[0].gamma == 0.5
+        level = ConfidenceLevel(0.5)
+        table = ground_truth_probabilities(model, 100, seed=2, level=level)
+        counts = np.rint(table[:, 0] * 100).astype(int)
+        assert np.array_equal(table, summarize(counts, 100, level))
+        assert not np.array_equal(table, summarize(counts, 100))
 
     @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
     def test_single_row_or_column_rejected(self, nx, ny):
