@@ -185,21 +185,11 @@ def _read_summary_csv(path: str):
     return topology, table, m, gamma
 
 
-def _parse_int_list(text: str, flag: str) -> list[int]:
+def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
     try:
-        values = [int(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [kind(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:
-        raise ValueError(f"{flag} expects comma-separated integers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} must list at least one value")
-    return values
-
-
-def _parse_float_list(text: str, flag: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError:
-        raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"{flag} expects comma-separated {noun}, got {text!r}") from None
     if not values:
         raise ValueError(f"{flag} must list at least one value")
     return values
@@ -285,7 +275,7 @@ def cmd_synth_fit(args: argparse.Namespace) -> int:
 
 def cmd_synth_sample(args: argparse.Namespace) -> int:
     model = _load_model_path(args.input)
-    sizes = _parse_int_list(args.sizes, "--sizes")
+    sizes = _parse_list(args.sizes, "--sizes", int, "integers")
     if any(size < 1 for size in sizes):
         raise ValueError(f"--sizes entries must be >= 1, got {sizes}")
     if args.count < 1:
@@ -318,8 +308,8 @@ def cmd_synth_truth(args: argparse.Namespace) -> int:
 
 
 def cmd_coverage(args: argparse.Namespace) -> int:
-    p_values = _parse_float_list(args.p, "--p")
-    m_values = _parse_int_list(args.m, "--m")
+    p_values = _parse_list(args.p, "--p", float, "numbers")
+    m_values = _parse_list(args.m, "--m", int, "integers")
     level = ConfidenceLevel(args.gamma)
     lines = ["p,m,gamma,reps,coverage,mean_width"]
     ordinal = 0

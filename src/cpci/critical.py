@@ -17,10 +17,10 @@ three directions and `nb > c` in the other three: one comparison per
 direction of the (m, n) values against themselves shifted by d.  The six
 results pack into a 6-bit code, and a 64x64 table indexed by (in-grid
 directions, higher directions) gives the type.  The table is built once
-at import from the same run-count rule as `classify_vertex`, reading
-interior links as cycles and boundary links, whose in-grid directions
-form one arc, as paths.  It ignores the bits of out-of-grid directions,
-which is where a shift that wraps across a row end lands.
+at import from the same run-count rule as `classify_vertex`, applied to
+the links `build_link` gives the nine vertices of a 3x3 grid.  It ignores
+the bits of out-of-grid directions, which is where a shift that wraps
+across a row end lands.
 """
 
 from __future__ import annotations
@@ -30,7 +30,9 @@ from enum import IntEnum
 
 import numpy as np
 
-from .grid import _LINK_OFFSETS, Ensemble, GridTopology, VertexLink, build_link
+from .grid import (
+    _LINK_OFFSETS, Ensemble, GridTopology, VertexLink, _require_links, build_link,
+)
 
 __all__ = [
     "CriticalType",
@@ -117,37 +119,28 @@ def _build_type_table() -> np.ndarray:
 
     Bit k stands for direction `_LINK_OFFSETS[k]`: in `valid` it marks an
     in-grid neighbor, in `bits` a higher one; bits of out-of-grid
-    directions do not change the type.  A full `valid` is an interior
-    link, read as a cycle.  A boundary link's directions form one cyclic
-    arc, read as a path from the arc's start; `build_link` may walk it
-    the other way, which leaves the run count unchanged.  Masks that are
-    not an arc occur in no grid of at least 2x2 and stay 0.
+    directions do not change the type.  Which directions are in-grid
+    depends only on whether a vertex lies on the first, last or an inner
+    column and row, so the nine vertices of a 3x3 grid carry every `valid`
+    mask a grid of at least 2x2 has; each is classified by `build_link`'s
+    order and `_classify_signs`.  Masks of no grid stay 0.
     """
     table = np.zeros((64, 64), dtype=np.int8)
-    for valid in range(1, 64):
-        inside = [bool(valid >> k & 1) for k in range(6)]
-        starts = [k for k in range(6) if inside[k] and not inside[k - 1]]
-        if valid == 63:
-            order, closed = list(range(6)), True
-        elif len(starts) == 1:
-            order = [(starts[0] + t) % 6 for t in range(sum(inside))]
-            closed = False
-        else:
-            continue
-        for bits in range(64):
-            if bits & ~valid == 0:
-                signs = [bool(bits >> k & 1) for k in order]
-                table[valid, bits] = _classify_signs(signs, closed)
+    grid = GridTopology(3, 3)
+    for j in range(3):
+        for i in range(3):
+            link = build_link(grid, (i, j))
+            order = [_LINK_OFFSETS.index((a - i, b - j)) for a, b in link.neighbors]
+            valid = sum(1 << k for k in order)
+            for bits in range(64):
+                if bits & ~valid == 0:
+                    signs = [bool(bits >> k & 1) for k in order]
+                    table[valid, bits] = _classify_signs(signs, link.closed)
     masks = np.arange(64)
     return table[masks[:, None], masks[:, None] & masks]
 
 
 _TYPE_TABLE = _build_type_table()
-
-
-def _require_links(topology: GridTopology) -> None:
-    if topology.nx < 2 or topology.ny < 2:
-        raise ValueError("vertex links require at least a 2x2 grid")
 
 
 def _classify_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:

@@ -1,13 +1,20 @@
-"""Simplicial grid topology, vertex links, and ensemble file I/O.
+"""Simplicial grid topology, vertex links, and the text grid file format.
 
 The domain is an nx-by-ny vertex lattice in which every unit cell
 [i, i+1] x [j, j+1] is split along the fixed diagonal from (i, j) to
 (i+1, j+1) (Freudenthal convention).  Interior vertices therefore have
 six link neighbors; boundary vertices have two to four.
+
+EGF ensembles and MMF moment models share one text layout: a magic
+line, an `nx ny count` header, then blocks of ny rows of nx reals.
+`read_blocks` streams it line by line into one preallocated array and
+`write_blocks` writes it one block at a time; `load_ensemble` and
+`save_ensemble` are the EGF callers, `cpci.synth` holds the MMF ones.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import IO
 
@@ -21,6 +28,8 @@ __all__ = [
     "build_link",
     "load_ensemble",
     "save_ensemble",
+    "read_blocks",
+    "write_blocks",
 ]
 
 # Edge-connected offsets in counterclockwise cyclic order, starting at
@@ -85,6 +94,11 @@ class VertexLink:
     closed: bool
 
 
+def _require_links(topology: GridTopology) -> None:
+    if topology.nx < 2 or topology.ny < 2:
+        raise ValueError("vertex links require at least a 2x2 grid")
+
+
 def build_link(topology: GridTopology, v: tuple[int, int]) -> VertexLink:
     """Return the link of vertex v in triangulation order.
 
@@ -92,8 +106,7 @@ def build_link(topology: GridTopology, v: tuple[int, int]) -> VertexLink:
     links are open paths; the path starts at the endpoint with the
     smaller linear index so the ordering is deterministic.
     """
-    if topology.nx < 2 or topology.ny < 2:
-        raise ValueError("vertex links require at least a 2x2 grid")
+    _require_links(topology)
     i, j = v
     if not topology.contains(i, j):
         raise ValueError(f"vertex ({i}, {j}) outside {topology.nx}x{topology.ny} grid")
@@ -145,77 +158,24 @@ class Ensemble:
         return int(self.values.shape[0])
 
 
-class _LineReader:
-    """Line scanner for the EGF/MMF text formats.
+def _content_lines(source: IO[bytes]) -> Iterator[tuple[int, str]]:
+    """Yield (line number, stripped text) of each non-blank, non-comment line.
 
-    Decodes UTF-8 (LF or CRLF), skips blank and `#` comment lines, and
-    reports 1-based physical line numbers in errors.
+    The binary stream splits at LF only; `str.splitlines` then splits each
+    decoded line at every other line boundary (lone CR, form feed, U+2028,
+    ...), so line numbers count the lines of the whole decoded text.
     """
-
-    def __init__(self, raw: bytes):
+    lineno = 0
+    for raw in source:
         try:
             text = raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(1, f"not valid UTF-8 ({exc.reason})") from None
-        self.rows = [
-            (num, stripped)
-            for num, line in enumerate(text.splitlines(), start=1)
-            if (stripped := line.strip()) and not stripped.startswith("#")
-        ]
-        self.pos = 0
-
-    def next(self, expected: str) -> tuple[int, str]:
-        if self.pos >= len(self.rows):
-            last = self.rows[-1][0] if self.rows else 1
-            raise ParseError(last, f"unexpected end of file, expected {expected}")
-        row = self.rows[self.pos]
-        self.pos += 1
-        return row
-
-    def expect_magic(self, magic: str) -> None:
-        lineno, token = self.next(f"magic line {magic!r}")
-        if token != magic:
-            raise ParseError(lineno, f"bad magic line {token!r}, expected {magic!r}")
-
-    def header_ints(self, count: int, description: str) -> tuple[int, ...]:
-        lineno, line = self.next(f"header {description!r}")
-        parts = line.split()
-        if len(parts) != count:
-            raise ParseError(
-                lineno, f"header {description!r} needs {count} integers, "
-                f"got {len(parts)} tokens")
-        try:
-            values = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(lineno, f"non-integer in header {line!r}") from None
-        if any(val < 1 for val in values):
-            raise ParseError(lineno, f"header values must be positive, got {line!r}")
-        return values
-
-    def block(self, nx: int, ny: int, what: str) -> np.ndarray:
-        """Read ny rows of nx reals (row j=0 first) into a flat array."""
-        out = np.empty(ny * nx, dtype=np.float64)
-        for j in range(ny):
-            lineno, line = self.next(f"row {j} of {what}")
-            tokens = line.split()
-            if len(tokens) != nx:
-                raise ParseError(
-                    lineno, f"expected {nx} values in row {j} of {what}, "
-                    f"got {len(tokens)}")
-            try:
-                row = np.asarray(tokens, dtype=np.float64)
-            except ValueError:
-                bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
-                raise ParseError(lineno, f"bad number {bad!r}") from None
-            if not np.isfinite(row).all():
-                bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
-                raise ParseError(lineno, f"non-finite value {bad!r}")
-            out[j * nx:(j + 1) * nx] = row
-        return out
-
-    def expect_end(self) -> None:
-        if self.pos != len(self.rows):
-            raise ParseError(self.rows[self.pos][0], "trailing content after final block")
+            raise ParseError(lineno + 1, f"not valid UTF-8 ({exc.reason})") from None
+        for line in text.splitlines():
+            lineno += 1
+            stripped = line.strip()
+            if stripped and not stripped.startswith("#"):
+                yield lineno, stripped
 
 
 def _parses_as_float(token: str) -> bool:
@@ -226,33 +186,93 @@ def _parses_as_float(token: str) -> bool:
     return True
 
 
-def _block_rows(values: np.ndarray, nx: int, ny: int) -> list[str]:
-    """Format one field block with 17 significant digits (exact roundtrip)."""
+def read_blocks(source: IO[bytes], magic: str, header: str,
+                block_name: Callable[[int, int], str],
+                extra: int = 0) -> tuple[GridTopology, np.ndarray]:
+    """Parse a text grid stream into its topology and a (blocks, n) array.
+
+    Layout: the `magic` line; the header `nx ny count`, described as
+    `header` in errors; then `count + extra` blocks, each ny rows of nx
+    whitespace-separated finite reals, row j=0 first.  The text is UTF-8
+    with any line ending, and blank and `#` comment lines are skipped.
+    Lines are read one at a time straight into the preallocated array.
+    Raises ParseError naming the offending line; `block_name(k, count)`
+    names block k in row errors.
+    """
+    rows = _content_lines(source)
+    lineno = 1
+
+    def take(expected: str) -> str:
+        nonlocal lineno
+        row = next(rows, None)
+        if row is None:
+            raise ParseError(lineno, f"unexpected end of file, expected {expected}")
+        lineno, text = row
+        return text
+
+    token = take(f"magic line {magic!r}")
+    if token != magic:
+        raise ParseError(lineno, f"bad magic line {token!r}, expected {magic!r}")
+    line = take(f"header {header!r}")
+    parts = line.split()
+    if len(parts) != 3:
+        raise ParseError(
+            lineno, f"header {header!r} needs 3 integers, got {len(parts)} tokens")
+    try:
+        nx, ny, count = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError(lineno, f"non-integer in header {line!r}") from None
+    if min(nx, ny, count) < 1:
+        raise ParseError(lineno, f"header values must be positive, got {line!r}")
+    topology = GridTopology(nx, ny)
+    try:
+        values = np.empty((count + extra, topology.n), dtype=np.float64)
+    except (MemoryError, ValueError):
+        raise ParseError(
+            lineno, f"header {line!r} asks for more values than fit in memory") from None
+    for k, block in enumerate(values):
+        name = block_name(k, count)
+        for j in range(ny):
+            tokens = take(f"row {j} of {name}").split()
+            if len(tokens) != nx:
+                raise ParseError(
+                    lineno, f"expected {nx} values in row {j} of {name}, got {len(tokens)}")
+            try:
+                row = np.asarray(tokens, dtype=np.float64)
+            except ValueError:
+                bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
+                raise ParseError(lineno, f"bad number {bad!r}") from None
+            if not np.isfinite(row).all():
+                bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
+                raise ParseError(lineno, f"non-finite value {bad!r}")
+            block[j * nx:(j + 1) * nx] = row
+    trailing = next(rows, None)
+    if trailing is not None:
+        raise ParseError(trailing[0], "trailing content after final block")
+    return topology, values
+
+
+def write_blocks(sink: IO[bytes], magic: str, topology: GridTopology, count: int,
+                 blocks: Iterable[np.ndarray]) -> None:
+    """Write the layout `read_blocks` parses, one block at a time.
+
+    Values carry 17 significant digits, so they roundtrip exactly.
+    """
+    nx, ny = topology.nx, topology.ny
+    sink.write(f"{magic}\n{nx} {ny} {count}\n".encode("utf-8"))
     row = " ".join(["%.17g"] * nx)
-    return [row % tuple(values[j * nx:(j + 1) * nx].tolist()) for j in range(ny)]
+    for block in blocks:
+        flat = block.tolist()
+        text = "\n".join([row % tuple(flat[j * nx:(j + 1) * nx]) for j in range(ny)])
+        sink.write((text + "\n").encode("utf-8"))
 
 
 def load_ensemble(source: IO[bytes]) -> Ensemble:
-    """Parse an EGF byte stream.
-
-    Format: magic line `EGF1`; header `nx ny m`; then m blocks, each ny
-    rows of nx whitespace-separated reals, row j=0 first.  Raises
-    ParseError naming the offending line.
-    """
-    reader = _LineReader(source.read())
-    reader.expect_magic("EGF1")
-    nx, ny, m = reader.header_ints(3, "nx ny m")
-    topology = GridTopology(nx, ny)
-    values = np.empty((m, topology.n), dtype=np.float64)
-    for k in range(m):
-        values[k] = reader.block(nx, ny, f"member {k}")
-    reader.expect_end()
+    """Parse an EGF byte stream: magic `EGF1`, header `nx ny m`, m member blocks."""
+    topology, values = read_blocks(source, "EGF1", "nx ny m", lambda k, m: f"member {k}")
     return Ensemble(topology, values)
 
 
 def save_ensemble(e: Ensemble, sink: IO[bytes]) -> None:
     """Write EGF bytes; inverse of load_ensemble (values roundtrip exactly)."""
-    lines = ["EGF1", f"{e.topology.nx} {e.topology.ny} {e.m}"]
-    for k in range(e.m):
-        lines.extend(_block_rows(e.values[k], e.topology.nx, e.topology.ny))
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_blocks(sink, "EGF1", e.topology, e.m, e.values)

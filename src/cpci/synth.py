@@ -8,6 +8,10 @@ Members are drawn from counter-based substreams keyed by
 (seed, member index), so a member's values depend only on that pair:
 sequential and parallel generation produce identical ensembles, and
 member k of a size-10 draw equals member k of a size-1000 draw.
+
+Models are stored as MMF text through `grid.read_blocks` and
+`grid.write_blocks`: the header states r, and the mean block plus r
+factor-column blocks follow it.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from typing import IO
 import numpy as np
 
 from .critical import _member_chunk, _tally
-from .grid import Ensemble, GridTopology, _LineReader, _block_rows
+from .grid import Ensemble, GridTopology, read_blocks, write_blocks
 from .stats import ConfidenceLevel, DEFAULT_LEVEL, summarize
 
 __all__ = [
@@ -134,24 +138,17 @@ def ground_truth_probabilities(
 
 def save_moment_model(model: MomentModel, sink: IO[bytes]) -> None:
     """Write MMF text: magic, `nx ny r` header, mean block, r factor blocks."""
-    t = model.topology
-    r = model.factor.shape[1]
-    lines = ["MMF1", f"{t.nx} {t.ny} {r}"]
-    lines.extend(_block_rows(model.mean, t.nx, t.ny))
-    for k in range(r):
-        lines.extend(_block_rows(model.factor[:, k], t.nx, t.ny))
-    sink.write(("\n".join(lines) + "\n").encode("utf-8"))
+    write_blocks(sink, "MMF1", model.topology, model.rank_bound,
+                 (model.mean, *model.factor.T))
+
+
+def _mmf_block_name(k: int, r: int) -> str:
+    return f"factor block {k} of {r}" if k else "mean block"
 
 
 def load_moment_model(source: IO[bytes]) -> MomentModel:
     """Parse an MMF stream written by save_moment_model."""
-    reader = _LineReader(source.read())
-    reader.expect_magic("MMF1")
-    nx, ny, r = reader.header_ints(3, "nx ny r")
-    topology = GridTopology(nx, ny)
-    mean = reader.block(nx, ny, "mean block")
-    factor = np.empty((topology.n, r))
-    for k in range(r):
-        factor[:, k] = reader.block(nx, ny, f"factor block {k + 1} of {r}")
-    reader.expect_end()
-    return MomentModel(topology=topology, mean=mean, factor=factor)
+    topology, values = read_blocks(source, "MMF1", "nx ny r", _mmf_block_name, extra=1)
+    # Copies, so the model holds no view of the parse buffer; a C-contiguous
+    # (n, r) factor keeps `z @ factor.T` bit-identical.
+    return MomentModel(topology, values[0].copy(), np.ascontiguousarray(values[1:].T))

@@ -486,6 +486,21 @@ class TestExitCodes:
         assert code == 0
         assert (tmp_path / "cov.csv").stat().st_mode & 0o777 == 0o666 & ~umask
 
+    @pytest.mark.parametrize("count", [10**8, 10**14], ids=["no-memory", "too-big"])
+    @pytest.mark.parametrize("magic,command", [
+        ("EGF1", ["estimate"]),
+        ("MMF1", ["synth", "sample", "--sizes", "4"]),
+    ], ids=["estimate", "sample"])
+    def test_oversized_header_is_input_error(self, tmp_path, magic, command, count):
+        # 10^14 or 10^20 values: beyond any address space, so no allocation
+        # can succeed even where memory is overcommitted.
+        source = tmp_path / "in.txt"
+        source.write_bytes(f"{magic}\n1000 1000 {count}\n1 2\n".encode())
+        output = tmp_path / "out"
+        code, _, err = run_cli(*command, "--input", str(source), "--output", str(output))
+        assert code == 2 and "line 2" in err, err
+        assert not output.exists()
+
     def test_help_exits_zero(self):
         code, stdout, _ = run_cli("--help")
         assert code == 0 and "usage: cpci" in stdout

@@ -248,6 +248,22 @@ class TestClassifyCodes:
                     expected = classify_vertex(field, t, (i, j), link)
                     assert member_codes[t.linear(i, j)] == expected, (i, j)
 
+    def test_every_sign_pattern_at_every_kind_of_vertex(self, topo33):
+        # The nine vertices of a 3x3 grid carry every in-grid direction set;
+        # each link sign pattern is one member, checked against the oracle.
+        for j in range(3):
+            for i in range(3):
+                link = build_link(topo33, (i, j))
+                patterns = list(itertools.product([False, True], repeat=len(link.neighbors)))
+                values = np.full((len(patterns), topo33.n), 5.0)
+                values[:, topo33.linear(i, j)] = 0.0
+                for member, signs in zip(values, patterns):
+                    for (a, b), higher in zip(link.neighbors, signs):
+                        member[topo33.linear(a, b)] = 1.0 if higher else -1.0
+                codes = _classify_codes(values, topo33)[:, topo33.linear(i, j)]
+                expected = [oracle_classify(signs, link.closed) for signs in patterns]
+                assert codes.tolist() == expected, (i, j)
+
 
 # --- count_types --------------------------------------------------------
 

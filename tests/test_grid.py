@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from cpci.grid import (
     load_ensemble,
     save_ensemble,
 )
+from cpci.synth import load_moment_model
 
 from conftest import grid_field
 
@@ -218,9 +220,132 @@ class TestLoadEnsemble:
         with pytest.raises(ParseError, match="UTF-8"):
             load_bytes(b"\xff\xfe EGF1\n")
 
+    def test_invalid_utf8_names_its_line(self):
+        with pytest.raises(ParseError, match="UTF-8") as exc_info:
+            load_bytes(b"EGF1\n2 2 1\n1 2\n3 \xff4\n")
+        assert exc_info.value.line == 4
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             load_bytes(b"")
+
+
+# (loader, input bytes, expected): the parsed blocks, EGF members or the
+# MMF mean then factor columns, or the ParseError (message and line).
+PARSER_CONTRACT = {
+    "lf": ("egf", b"EGF1\n2 2 1\n1 2\n3 4\n", [[1, 2, 3, 4]]),
+    "crlf": ("egf", b"EGF1\r\n2 2 1\r\n1 2\r\n3 4\r\n", [[1, 2, 3, 4]]),
+    "lone-cr": ("egf", b"EGF1\r2 2 1\r1 2\r3 4\r", [[1, 2, 3, 4]]),
+    "tab": ("egf", b"EGF1\n2 2 1\n1\t2\n3 4\n", [[1, 2, 3, 4]]),
+    "form-feed-in-row": (
+        "egf", b"EGF1\n2 2 1\n1\x0c2\n3 4\n",
+        ParseError(3, "expected 2 values in row 0 of member 0, got 1")),
+    "u2028-splits-a-row": (
+        "egf", "EGF1\n2 2 1\n1 2 3 4\n".encode(), [[1, 2, 3, 4]]),
+    "comments-and-blanks": (
+        "egf",
+        b"# a\n\n  \nEGF1\n# b\n2 2 2\n\n1 2\n3 4\n# between\n\n5 6\n7 8\n# end\n\n",
+        [[1, 2, 3, 4], [5, 6, 7, 8]]),
+    "trailing-content": (
+        "egf", b"EGF1\n2 2 1\n1 2\n3 4\n5 6\n",
+        ParseError(5, "trailing content after final block")),
+    "short-row": (
+        "egf", b"EGF1\n2 2 1\n1\n3 4\n",
+        ParseError(3, "expected 2 values in row 0 of member 0, got 1")),
+    "oops": ("egf", b"# c\nEGF1\n2 2 1\n1 2\n3 oops\n", ParseError(5, "bad number 'oops'")),
+    "underscore": ("egf", b"EGF1\n2 2 1\n1_0 2\n3 4\n", [[10, 2, 3, 4]]),
+    "infinity": (
+        "egf", b"EGF1\n2 2 1\n1 2\n3 infinity\n", ParseError(4, "non-finite value 'infinity'")),
+    "nan": ("egf", b"EGF1\n2 2 1\n1 2\nnan 4\n", ParseError(4, "non-finite value 'nan'")),
+    "missing-block": (
+        "egf", b"EGF1\n2 2 2\n1 2\n3 4\n\n# end\n",
+        ParseError(4, "unexpected end of file, expected row 0 of member 1")),
+    "empty": ("egf", b"", ParseError(1, "unexpected end of file, expected magic line 'EGF1'")),
+    "comments-only": (
+        "egf", b"# x\n\n", ParseError(1, "unexpected end of file, expected magic line 'EGF1'")),
+    "bad-magic": (
+        "egf", b"EGX1\n2 2 1\n1 2\n3 4\n", ParseError(1, "bad magic line 'EGX1', expected 'EGF1'")),
+    "missing-header": (
+        "egf", b"EGF1\n# none\n", ParseError(1, "unexpected end of file, expected header 'nx ny m'")),
+    "header-token-count": (
+        "egf", b"EGF1\n2 2\n1 2\n3 4\n",
+        ParseError(2, "header 'nx ny m' needs 3 integers, got 2 tokens")),
+    "header-non-integer": (
+        "egf", b"EGF1\n2 2 1.0\n1 2\n3 4\n", ParseError(2, "non-integer in header '2 2 1.0'")),
+    "header-not-positive": (
+        "egf", b"EGF1\n0 2 1\n1 2\n3 4\n",
+        ParseError(2, "header values must be positive, got '0 2 1'")),
+    "mmf": (
+        "mmf", b"# m\r\nMMF1\r\n2 2 2\r\n0 1\r\n2 3\r\n\r\n1 0\r\n0 1\r\n# f\r\n4 5\r\n6 7\r\n",
+        [[0, 1, 2, 3], [1, 0, 0, 1], [4, 5, 6, 7]]),
+    "mmf-short-row-of-mean": (
+        "mmf", b"MMF1\n2 2 1\n0\n0 0\n1 0\n0 1\n",
+        ParseError(3, "expected 2 values in row 0 of mean block, got 1")),
+    "mmf-short-row-of-factor": (
+        "mmf", b"MMF1\n2 2 2\n0 0\n0 0\n1 0\n0 1\n# last\n1 0\n0\n",
+        ParseError(9, "expected 2 values in row 1 of factor block 2 of 2, got 1")),
+    "mmf-missing-factor-block": (
+        "mmf", b"MMF1\n2 2 2\n0 0\n0 0\n1 0\n0 1\n",
+        ParseError(6, "unexpected end of file, expected row 0 of factor block 2 of 2")),
+    "mmf-trailing-content": (
+        "mmf", b"MMF1\n2 2 1\n0 0\n0 0\n1 0\n0 1\n9 9\n",
+        ParseError(7, "trailing content after final block")),
+    "mmf-bad-magic": (
+        "mmf", b"EGF1\n2 2 1\n0 0\n0 0\n",
+        ParseError(1, "bad magic line 'EGF1', expected 'MMF1'")),
+    "mmf-header-token-count": (
+        "mmf", b"MMF1\n2 2 1 1\n", ParseError(2, "header 'nx ny r' needs 3 integers, got 4 tokens")),
+}
+
+
+class TestParserContract:
+    @pytest.mark.parametrize("case", PARSER_CONTRACT, ids=str)
+    def test_values_or_error(self, case):
+        kind, data, expected = PARSER_CONTRACT[case]
+        source = io.BytesIO(data)
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as exc_info:
+                (load_ensemble if kind == "egf" else load_moment_model)(source)
+            assert (str(exc_info.value), exc_info.value.line) == (
+                str(expected), expected.line)
+        elif kind == "egf":
+            assert load_ensemble(source).values.tolist() == expected
+        else:
+            model = load_moment_model(source)
+            assert [model.mean.tolist(), *model.factor.T.tolist()] == expected
+
+
+def traced_load_peak(source) -> tuple[Ensemble, int]:
+    """load_ensemble's result and the peak bytes allocated while it ran."""
+    tracemalloc.start()
+    try:
+        ensemble = load_ensemble(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return ensemble, peak
+
+
+class TestParseMemory:
+    """A parse holds the value array and about one line, never the file."""
+
+    def test_peak_within_one_and_a_half_value_arrays(self):
+        values = np.random.default_rng(0).normal(size=(100, 64 * 64))
+        source = io.BytesIO(save_bytes(Ensemble(GridTopology(64, 64), values)))
+        ensemble, peak = traced_load_peak(source)
+        assert np.array_equal(ensemble.values, values)
+        assert peak <= 1.5 * values.nbytes, peak / values.nbytes
+
+    @pytest.mark.slow
+    def test_large_grid_from_file(self, tmp_path):
+        values = np.random.default_rng(1).normal(size=(4, 1024 * 1024))
+        path = tmp_path / "large.egf"
+        with open(path, "wb") as handle:
+            save_ensemble(Ensemble(GridTopology(1024, 1024), values), handle)
+        with open(path, "rb") as handle:
+            ensemble, peak = traced_load_peak(handle)
+        assert np.array_equal(ensemble.values, values)
+        assert peak <= 1.5 * values.nbytes, peak / values.nbytes
 
 
 class TestSaveEnsemble:

@@ -263,6 +263,8 @@ class TestMomentModelIO:
         assert back.topology == model.topology
         assert np.array_equal(back.mean, model.mean)
         assert np.array_equal(back.factor, model.factor)
+        # the sampler's `z @ factor.T` is bit-identical only for this layout
+        assert back.factor.flags.c_contiguous
 
     def test_header_and_magic(self):
         model = _random_model()
