@@ -7,14 +7,18 @@ six link neighbors; boundary vertices have two to four.
 
 EGF ensembles and MMF moment models share one text layout: a magic
 line, an `nx ny count` header, then blocks of ny rows of nx reals.
-`read_blocks` streams it line by line into one preallocated array and
-`write_blocks` writes it one block at a time; `load_ensemble` and
-`save_ensemble` are the EGF callers, `cpci.synth` holds the MMF ones.
+`read_blocks` streams the body in chunks of whole lines into one
+preallocated array: numpy's C text reader parses a chunk of plain
+numeric rows in one step, and any other chunk goes line by line, the
+parse that defines the format.  `write_blocks` writes the layout one
+block at a time; `load_ensemble` and `save_ensemble` are the EGF
+callers, `cpci.synth` holds the MMF ones.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+import io
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import IO
 
@@ -158,24 +162,52 @@ class Ensemble:
         return int(self.values.shape[0])
 
 
-def _content_lines(source: IO[bytes]) -> Iterator[tuple[int, str]]:
-    """Yield (line number, stripped text) of each non-blank, non-comment line.
+# Body chunks are read about this many bytes at a time.  Chunks of 32 to
+# 256 KiB parse equally fast; at 64 KiB a chunk and its parsed rows take
+# less than the bool temporary of `Ensemble`'s finiteness check once the
+# values pass about 2 MB, so they do not raise the parse's peak memory.
+_CHUNK_BYTES = 1 << 16
+# The only bytes a chunk may hold to be parsed in one step.
+_PLAIN_BYTES = b"0123456789.eE+- \n"
 
-    The binary stream splits at LF only; `str.splitlines` then splits each
-    decoded line at every other line boundary (lone CR, form feed, U+2028,
-    ...), so line numbers count the lines of the whole decoded text.
+
+def _split_lines(raw: bytes, lineno: int) -> list[str]:
+    """The stripped lines of one LF-terminated raw line that follows line `lineno`.
+
+    `str.splitlines` splits the decoded text again at every other line
+    boundary (lone CR, form feed, U+2028, ...), so line numbers count the
+    lines of the whole decoded text.
     """
-    lineno = 0
-    for raw in source:
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(lineno + 1, f"not valid UTF-8 ({exc.reason})") from None
-        for line in text.splitlines():
-            lineno += 1
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                yield lineno, stripped
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno + 1, f"not valid UTF-8 ({exc.reason})") from None
+    return [line.strip() for line in text.splitlines()]
+
+
+def _parse_chunk(chunk: bytes, nx: int, room: int) -> np.ndarray | None:
+    """The (lines, nx) rows of a chunk of plain numeric lines, or None.
+
+    numpy's C text reader parses a chunk only if it has at most `room`
+    lines and only digits, `.eE+-`, spaces and LFs, and if every line
+    gives nx finite values.  Such a chunk has no comment, blank line or
+    other line boundary, and `float` reads its tokens to the same values,
+    so the line-by-line parse would give the same rows.  Any other chunk,
+    well-formed or not, is left to it.
+    """
+    lines = chunk.count(b"\n")
+    if not 0 < lines <= room:
+        return None
+    # loadtxt would warn of empty input on a chunk of blank lines.
+    if chunk.isspace() or chunk.translate(None, _PLAIN_BYTES):
+        return None
+    try:
+        rows = np.loadtxt(io.BytesIO(chunk), comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape != (lines, nx) or not np.isfinite(rows).all():
+        return None
+    return rows
 
 
 def _parses_as_float(token: str) -> bool:
@@ -195,19 +227,33 @@ def read_blocks(source: IO[bytes], magic: str, header: str,
     `header` in errors; then `count + extra` blocks, each ny rows of nx
     whitespace-separated finite reals, row j=0 first.  The text is UTF-8
     with any line ending, and blank and `#` comment lines are skipped.
-    Lines are read one at a time straight into the preallocated array.
     Raises ParseError naming the offending line; `block_name(k, count)`
     names block k in row errors.
+
+    The magic and header are read a line at a time, the body in chunks
+    of whole lines straight into the preallocated array.  A chunk of
+    plain numeric rows goes through `_parse_chunk` in one step; any
+    other chunk goes line by line, which defines the format.
     """
-    rows = _content_lines(source)
-    lineno = 1
+    seen = 0  # lines read so far
+    lineno = 1  # the last content line, which end-of-file errors name
+    pending: list[tuple[int, str]] = []  # content lines read but not yet parsed
+
+    def read(raw: bytes) -> None:
+        nonlocal seen
+        for text in _split_lines(raw, seen):
+            seen += 1
+            if text and not text.startswith("#"):
+                pending.append((seen, text))
 
     def take(expected: str) -> str:
         nonlocal lineno
-        row = next(rows, None)
-        if row is None:
-            raise ParseError(lineno, f"unexpected end of file, expected {expected}")
-        lineno, text = row
+        while not pending:
+            raw = source.readline()
+            if not raw:
+                raise ParseError(lineno, f"unexpected end of file, expected {expected}")
+            read(raw)
+        lineno, text = pending.pop(0)
         return text
 
     token = take(f"magic line {magic!r}")
@@ -230,13 +276,19 @@ def read_blocks(source: IO[bytes], magic: str, header: str,
     except (MemoryError, ValueError):
         raise ParseError(
             lineno, f"header {line!r} asks for more values than fit in memory") from None
-    for k, block in enumerate(values):
-        name = block_name(k, count)
-        for j in range(ny):
-            tokens = take(f"row {j} of {name}").split()
+    rows = values.reshape(-1, nx)
+    filled = 0
+
+    def parse_pending() -> None:
+        nonlocal filled, lineno
+        for lineno, text in pending:
+            if filled == len(rows):
+                raise ParseError(lineno, "trailing content after final block")
+            k, j = divmod(filled, ny)
+            tokens = text.split()
             if len(tokens) != nx:
-                raise ParseError(
-                    lineno, f"expected {nx} values in row {j} of {name}, got {len(tokens)}")
+                raise ParseError(lineno, f"expected {nx} values in row {j} of "
+                                         f"{block_name(k, count)}, got {len(tokens)}")
             try:
                 row = np.asarray(tokens, dtype=np.float64)
             except ValueError:
@@ -245,10 +297,28 @@ def read_blocks(source: IO[bytes], magic: str, header: str,
             if not np.isfinite(row).all():
                 bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
                 raise ParseError(lineno, f"non-finite value {bad!r}")
-            block[j * nx:(j + 1) * nx] = row
-    trailing = next(rows, None)
-    if trailing is not None:
-        raise ParseError(trailing[0], "trailing content after final block")
+            rows[filled] = row
+            filled += 1
+        pending.clear()
+
+    parse_pending()
+    while chunk := source.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += source.readline()
+        parsed = _parse_chunk(chunk, nx, len(rows) - filled)
+        if parsed is None:
+            for raw in io.BytesIO(chunk):
+                read(raw)
+                parse_pending()
+        else:
+            rows[filled:filled + len(parsed)] = parsed
+            filled += len(parsed)
+            seen += len(parsed)
+            lineno = seen
+    if filled < len(rows):
+        k, j = divmod(filled, ny)
+        raise ParseError(
+            lineno, f"unexpected end of file, expected row {j} of {block_name(k, count)}")
     return topology, values
 
 

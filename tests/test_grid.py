@@ -1,9 +1,14 @@
 import io
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cpci import grid
 from cpci.grid import (
     Ensemble,
     GridTopology,
@@ -13,7 +18,7 @@ from cpci.grid import (
     load_ensemble,
     save_ensemble,
 )
-from cpci.synth import load_moment_model
+from cpci.synth import MomentModel, load_moment_model, save_moment_model
 
 from conftest import grid_field
 
@@ -257,6 +262,8 @@ PARSER_CONTRACT = {
     "infinity": (
         "egf", b"EGF1\n2 2 1\n1 2\n3 infinity\n", ParseError(4, "non-finite value 'infinity'")),
     "nan": ("egf", b"EGF1\n2 2 1\n1 2\nnan 4\n", ParseError(4, "non-finite value 'nan'")),
+    "overflow": (
+        "egf", b"EGF1\n2 2 1\n1 2\n3 -1e999\n", ParseError(4, "non-finite value '-1e999'")),
     "missing-block": (
         "egf", b"EGF1\n2 2 2\n1 2\n3 4\n\n# end\n",
         ParseError(4, "unexpected end of file, expected row 0 of member 1")),
@@ -295,24 +302,170 @@ PARSER_CONTRACT = {
         ParseError(1, "bad magic line 'EGF1', expected 'MMF1'")),
     "mmf-header-token-count": (
         "mmf", b"MMF1\n2 2 1 1\n", ParseError(2, "header 'nx ny r' needs 3 integers, got 4 tokens")),
+    "invalid-utf8": (
+        "egf", b"EGF1\n2 2 1\n1 2\n3 \xff4\n",
+        ParseError(4, "not valid UTF-8 (invalid start byte)")),
 }
+
+
+def contract_result(kind: str, data: bytes):
+    """The parsed blocks as PARSER_CONTRACT lists them, or the ParseError's text and line."""
+    source = io.BytesIO(data)
+    try:
+        if kind == "egf":
+            return load_ensemble(source).values.tolist()
+        model = load_moment_model(source)
+    except ParseError as exc:
+        return str(exc), exc.line
+    return [model.mean.tolist(), *model.factor.T.tolist()]
+
+
+def contract_expected(expected):
+    if isinstance(expected, ParseError):
+        return str(expected), expected.line
+    return expected
 
 
 class TestParserContract:
     @pytest.mark.parametrize("case", PARSER_CONTRACT, ids=str)
     def test_values_or_error(self, case):
         kind, data, expected = PARSER_CONTRACT[case]
-        source = io.BytesIO(data)
-        if isinstance(expected, ParseError):
-            with pytest.raises(ParseError) as exc_info:
-                (load_ensemble if kind == "egf" else load_moment_model)(source)
-            assert (str(exc_info.value), exc_info.value.line) == (
-                str(expected), expected.line)
-        elif kind == "egf":
-            assert load_ensemble(source).values.tolist() == expected
+        assert contract_result(kind, data) == contract_expected(expected)
+
+
+# PARSER_CONTRACT cases of a 2x2 EGF whose oddity lies in the body.
+BODY_ODDITIES = [
+    "lf", "crlf", "lone-cr", "tab", "form-feed-in-row", "u2028-splits-a-row",
+    "comments-and-blanks", "trailing-content", "short-row", "oops", "underscore",
+    "infinity", "nan", "overflow", "missing-block", "invalid-utf8",
+]
+CLEAN_MEMBER = b"1 2\n3 4\n"
+
+
+def after_clean_members(data: bytes, k: int) -> bytes:
+    """The 2x2 EGF `data` with k clean members put in front of its first member."""
+    head = re.search(rb"2 2 (\d+)(\r\n|\r|\n)", data)
+    return (data[:head.start()] + b"2 2 %d" % (int(head[1]) + k) + head[2]
+            + CLEAN_MEMBER * k + data[head.end():])
+
+
+def shifted(expected, k: int):
+    """A PARSER_CONTRACT result once k clean members stand in front of the body."""
+    if not isinstance(expected, ParseError):
+        return [[1, 2, 3, 4]] * k + expected
+    message = str(expected).split(": ", 1)[1]
+    message = re.sub(r"member (\d+)", lambda m: f"member {int(m[1]) + k}", message)
+    return ParseError(expected.line + 2 * k, message)
+
+
+class TestChunkBoundaries:
+    """The chunked parse keeps the contract wherever a chunk ends."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("case", BODY_ODDITIES)
+    def test_oddity_before_at_and_after_a_boundary(self, case, monkeypatch):
+        kind, data, expected = PARSER_CONTRACT[case]
+        k = 16
+        data, expected = after_clean_members(data, k), contract_expected(shifted(expected, k))
+        parsed = []
+        parse_chunk = grid._parse_chunk
+
+        def recorded(*args):
+            parsed.append(parse_chunk(*args))
+            return parsed[-1]
+
+        monkeypatch.setattr(grid, "_parse_chunk", recorded)
+        # Sizes 1 to 40 put a chunk end at every byte of the oddity and
+        # the rows on either side of it.
+        for size in range(1, 41):
+            monkeypatch.setattr(grid, "_CHUNK_BYTES", size)
+            assert contract_result(kind, data) == expected, size
+        assert any(rows is not None for rows in parsed)
+
+
+def parse_bits(kind: str, data: bytes):
+    """The parsed arrays' bytes, or the error's type, message and line."""
+    try:
+        if kind == "egf":
+            return load_ensemble(io.BytesIO(data)).values.tobytes()
+        model = load_moment_model(io.BytesIO(data))
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    return model.mean.tobytes(), model.factor.tobytes()
+
+
+PLAIN_TOKENS = [
+    st.text("0123456789.eE+-", min_size=1, max_size=6),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17g}".format),
+    st.integers(-12, 12).map(lambda q: "%.17g" % (q * 0.25)),
+]
+# Line boundaries, spellings and bytes outside the plain alphabet, which a
+# chunk holding them must leave to the line path, and a double space.
+MUTATIONS = [
+    *(text.encode() for text in ("\r", "\n", "\r\n", "\x0c", "\x0b", "\x1c", "\x85",
+                                 "\u2028", "\t", "#", "nan", "inf", "1_0", "0x1", "  ")),
+    b"\xff", b"\xc3",
+]
+
+
+@st.composite
+def grid_files(draw):
+    """(kind, bytes) of an EGF or MMF file over the plain alphabet, maybe mutated."""
+    kind = draw(st.sampled_from(["egf", "mmf"]))
+    nx, ny, count = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    tokens = draw(st.sampled_from(PLAIN_TOKENS))
+    rows = (count + (kind == "mmf")) * ny + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    lines = [" ".join(draw(st.lists(tokens, min_size=nx, max_size=nx))) for _ in range(rows)]
+    if lines and draw(st.integers(0, 3)) == 0:
+        ragged = draw(st.integers(0, len(lines) - 1))
+        lines[ragged] = " ".join(draw(st.lists(tokens, min_size=nx - 1, max_size=nx + 1)))
+    body = ("\n".join(lines) + "\n").encode()
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(body)))
+        body = body[:at] + draw(st.sampled_from(MUTATIONS)) + body[at:]
+    magic = "EGF1" if kind == "egf" else "MMF1"
+    return kind, f"{magic}\n{nx} {ny} {count}\n".encode() + body
+
+
+class TestChunkedParseEquivalence:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(grid_files(), st.integers(1, 64))
+    def test_same_result_as_the_line_path(self, file, size):
+        kind, data = file
+        with mock.patch.object(grid, "_CHUNK_BYTES", size):
+            chunked = parse_bits(kind, data)
+            with mock.patch.object(grid, "_parse_chunk", lambda *args: None):
+                by_line = parse_bits(kind, data)
+        assert chunked == by_line
+
+    @pytest.mark.parametrize("save", ["normal", "quantised", "moment-model"])
+    def test_writer_output_skips_the_line_path(self, save, monkeypatch):
+        rng = np.random.default_rng(4)
+        values = rng.normal(size=(64, 64 * 64))
+        if save == "quantised":
+            values = np.rint(values / 0.25) * 0.25
+        sink = io.BytesIO()
+        if save == "moment-model":
+            model = MomentModel(GridTopology(64, 64), values[0], values[1:].T)
+            save_moment_model(model, sink)
         else:
-            model = load_moment_model(source)
-            assert [model.mean.tolist(), *model.factor.T.tolist()] == expected
+            save_ensemble(Ensemble(GridTopology(64, 64), values), sink)
+        assert len(sink.getvalue()) > 2 * grid._CHUNK_BYTES
+        split_lines = grid._split_lines
+
+        def header_only(raw, lineno):
+            assert lineno < 2, f"line {lineno + 1} went through the line path"
+            return split_lines(raw, lineno)
+
+        monkeypatch.setattr(grid, "_split_lines", header_only)
+        sink.seek(0)
+        if save == "moment-model":
+            back = load_moment_model(sink)
+            assert back.mean.tobytes() == model.mean.tobytes()
+            assert back.factor.tobytes() == model.factor.tobytes()
+        else:
+            assert load_ensemble(sink).values.tobytes() == values.tobytes()
 
 
 def traced_load_peak(source) -> tuple[Ensemble, int]:
@@ -345,6 +498,18 @@ class TestParseMemory:
         with open(path, "rb") as handle:
             ensemble, peak = traced_load_peak(handle)
         assert np.array_equal(ensemble.values, values)
+        assert peak <= 1.5 * values.nbytes, peak / values.nbytes
+
+    @pytest.mark.slow
+    def test_deep_quantised_file(self, tmp_path):
+        values = np.random.default_rng(2).normal(size=(1000, 128 * 128))
+        values = np.rint(values / 0.25) * 0.25
+        path = tmp_path / "deep.egf"
+        with open(path, "wb") as handle:
+            save_ensemble(Ensemble(GridTopology(128, 128), values), handle)
+        with open(path, "rb") as handle:
+            ensemble, peak = traced_load_peak(handle)
+        assert ensemble.values.tobytes() == values.tobytes()
         assert peak <= 1.5 * values.nbytes, peak / values.nbytes
 
 
