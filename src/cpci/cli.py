@@ -9,7 +9,6 @@ CSV output carry 9 significant digits with LF line endings.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import os
 import sys
@@ -97,16 +96,6 @@ def _summary_csv(
     return "\n".join(lines) + "\n"
 
 
-def _summary_row(path: str, cells: list[str]) -> tuple:
-    if len(cells) != 11:
-        raise ValueError(
-            f"{path}: expected 11 fields per row, got {len(cells)}: {','.join(cells)!r}")
-    try:
-        return (int(cells[0]), int(cells[1]), *map(float, cells[2:]))
-    except ValueError:
-        raise ValueError(f"{path}: malformed row {','.join(cells)!r}") from None
-
-
 def _read_summary_csv(path: str):
     """Parse a summary CSV back into a (3, 3, n) table in linear vertex order.
 
@@ -137,19 +126,34 @@ def _read_summary_csv(path: str):
     if header != _SUMMARY_HEADER:
         raise ValueError(
             f"{path}: unexpected header {header!r}; expected {_SUMMARY_HEADER!r}")
-    rows = list(csv.reader(data_lines[1:]))
+    rows = data_lines[1:]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    parsed = [_summary_row(path, cells) for cells in rows]
+    # Each row is followed by a "\n" cell, which int() and float() reject.
+    # The eleven columns below skip every 12th cell, so they parse only if
+    # each "\n" sits there, and then the reshape holds only if there are
+    # len(rows) of those: together, only if every row has 11 fields.
+    cells = (",\n,".join(rows) + ",\n").split(",")
     try:
-        i, j = np.array([row[:2] for row in parsed], dtype=np.int64).T
-    except OverflowError:
+        i, j = np.array([cells[0::12], cells[1::12]], dtype=np.int64).reshape(2, len(rows))
+        values = np.array([cells[k::12] for k in range(2, 11)], dtype=np.float64)
+    except (ValueError, OverflowError):
+        # Name the first row that int() and float() reject, as a row
+        # parser would; if there is none, an index overflowed int64.
+        for row in rows:
+            fields = row.split(",")
+            if len(fields) != 11:
+                raise ValueError(f"{path}: expected 11 fields per row, "
+                                 f"got {len(fields)}: {row!r}") from None
+            try:
+                int(fields[0]), int(fields[1]), *map(float, fields[2:])
+            except ValueError:
+                raise ValueError(f"{path}: malformed row {row!r}") from None
         raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
-    values = np.array([row[2:] for row in parsed])
     negative = (i < 0) | (j < 0)
     if negative.any():
         raise ValueError(
-            f"{path}: negative vertex index in row {','.join(rows[np.argmax(negative)])!r}")
+            f"{path}: negative vertex index in row {rows[np.argmax(negative)]!r}")
     # Sorted by (j, i), the rows of a complete grid are its vertices in
     # linear order: position k holds (k % nx, k // nx).
     order = np.lexsort((i, j))
@@ -162,13 +166,15 @@ def _read_summary_csv(path: str):
     topology = GridTopology(nx, ny)
     if len(rows) != topology.n:
         # Distinct in-box rows are fewer than the vertices: name the first gap.
-        k = np.arange(len(rows))
-        gap = (si != k % nx) | (sj != k // nx)
+        # k < len(rows), so dividing by min(nx, len(rows)) splits k as nx
+        # does, and that divisor fits int64 where nx (up to 2**63) may not.
+        k, width = np.arange(len(rows)), min(nx, len(rows))
+        gap = (si != k % width) | (sj != k // width)
         first = int(np.argmax(gap)) if gap.any() else len(rows)
         raise ValueError(
             f"{path}: missing vertex ({first % nx}, {first // nx}); {len(rows)} rows "
             f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
-    table = np.ascontiguousarray(values[order].T).reshape(3, 3, topology.n)
+    table = np.ascontiguousarray(values[:, order]).reshape(3, 3, topology.n)
     bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
     if bad.any():
         t, stat, v = np.argwhere(bad)[0].tolist()
@@ -200,13 +206,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if not 0 <= args.member < ensemble.m:
         raise ValueError(
             f"--member must be in [0, {ensemble.m - 1}], got {args.member}")
-    types = classify_field(ensemble.values[args.member], ensemble.topology)
+    codes = classify_field(ensemble.values[args.member], ensemble.topology)
+    vertices = np.flatnonzero(codes != CriticalType.REGULAR)
+    nx = ensemble.topology.nx
     lines = ["i,j,type"]
-    for v, ctype in enumerate(types):
-        if ctype == CriticalType.REGULAR:
-            continue
-        i, j = ensemble.topology.coords(v)
-        lines.append(f"{i},{j},{TYPE_CODES[ctype]}")
+    lines.extend("%d,%d,%s" % (v % nx, v // nx, TYPE_CODES[code])
+                 for v, code in zip(vertices.tolist(), codes[vertices].tolist()))
     _atomic_write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

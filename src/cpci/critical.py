@@ -185,16 +185,18 @@ def _tally(blocks: Iterable[np.ndarray], topology: GridTopology) -> np.ndarray:
     return totals
 
 
-def classify_field(field: np.ndarray, topology: GridTopology) -> list[CriticalType]:
-    """Per-vertex classification of a single field, in linear-index order."""
+def classify_field(field: np.ndarray, topology: GridTopology) -> np.ndarray:
+    """Per-vertex classification of a single field, in linear-index order.
+
+    Returns the (n,) int8 `CriticalType` codes.
+    """
     arr = np.asarray(field, dtype=np.float64)
     if arr.shape != (topology.n,):
         raise ValueError(
             f"field has {arr.size} values, topology needs {topology.n}")
     if not np.isfinite(arr).all():
         raise ValueError("field values must be finite")
-    codes = _classify_codes(arr[None, :], topology)[0]
-    return [CriticalType(int(code)) for code in codes]
+    return _classify_codes(arr[None, :], topology)[0]
 
 
 def count_types(e: Ensemble) -> np.recarray:

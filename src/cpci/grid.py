@@ -153,7 +153,9 @@ class Ensemble:
             raise ValueError(
                 f"member array must have shape (m >= 1, {self.topology.n}), "
                 f"got {arr.shape}")
-        if not np.isfinite(arr).all():
+        # min and max propagate NaN, so this rejects every NaN and +-inf
+        # without a temporary the size of the values.
+        if not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
             raise ValueError("ensemble values must be finite")
         object.__setattr__(self, "values", arr)
 
@@ -163,9 +165,8 @@ class Ensemble:
 
 
 # Body chunks are read about this many bytes at a time.  Chunks of 32 to
-# 256 KiB parse equally fast; at 64 KiB a chunk and its parsed rows take
-# less than the bool temporary of `Ensemble`'s finiteness check once the
-# values pass about 2 MB, so they do not raise the parse's peak memory.
+# 256 KiB parse equally fast; at 64 KiB a chunk and its parsed rows add
+# under a tenth to the parse's peak memory once the values pass about 2 MB.
 _CHUNK_BYTES = 1 << 16
 # The only bytes a chunk may hold to be parsed in one step.
 _PLAIN_BYTES = b"0123456789.eE+- \n"

@@ -18,8 +18,7 @@ has it.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,27 +35,22 @@ SECTORS = (("max", 90.0, 210.0), ("min", 210.0, 330.0), ("sad", 330.0, 450.0))
 
 _TYPE_LABELS = {"max": "Maximum", "min": "Minimum", "sad": "Saddle"}
 _TABLE_ROWS = {"min": 0, "max": 1, "sad": 2}   # type axis of the summary table
-_HEX_COLOR = re.compile(r"#[0-9A-Fa-f]{6}\Z")
 _REFERENCE_PROBS = (0.25, 0.5, 0.75, 1.0)
-
-
-def _default_colors() -> dict[str, tuple[str, str]]:
-    return {
-        "max": ("#F4B6B6", "#C0392B"),
-        "min": ("#B6CDF4", "#2B5AC0"),
-        "sad": ("#BCE4BC", "#2E8B40"),
-    }
+_MARGIN = 30.0
+_ARC_STROKE = 1.5
+_COLORS = {   # (light, dark) fill per type
+    "max": ("#F4B6B6", "#C0392B"),
+    "min": ("#B6CDF4", "#2B5AC0"),
+    "sad": ("#BCE4BC", "#2E8B40"),
+}
 
 
 @dataclass(frozen=True, eq=False)
 class GlyphStyle:
-    """Geometry and palette knobs; r_max <= cell/2 keeps glyphs disjoint."""
+    """Glyph radius at p = 1 and grid spacing; r_max <= cell/2 keeps glyphs disjoint."""
 
     r_max: float = 18.0
     cell: float = 40.0
-    margin: float = 30.0
-    arc_stroke: float = 1.5
-    colors: dict[str, tuple[str, str]] = field(default_factory=_default_colors)
 
     def __post_init__(self):
         if not (math.isfinite(self.r_max) and self.r_max > 0):
@@ -66,15 +60,6 @@ class GlyphStyle:
         if self.r_max > self.cell / 2:
             raise ValueError(
                 f"r_max={self.r_max} exceeds cell/2={self.cell / 2}; glyphs would overlap")
-        if not (math.isfinite(self.margin) and self.margin >= 0):
-            raise ValueError(f"margin must be >= 0, got {self.margin!r}")
-        if not (math.isfinite(self.arc_stroke) and self.arc_stroke > 0):
-            raise ValueError(f"arc_stroke must be positive, got {self.arc_stroke!r}")
-        if set(self.colors) != {"max", "min", "sad"}:
-            raise ValueError(f"colors must map exactly min/max/sad, got {set(self.colors)}")
-        for code, pair in self.colors.items():
-            if len(pair) != 2 or not all(_HEX_COLOR.match(c) for c in pair):
-                raise ValueError(f"colors[{code!r}] must be a (light, dark) hex pair, got {pair!r}")
 
 
 def glyph_radius(p: float, r_max: float) -> float:
@@ -117,10 +102,10 @@ def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
 def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:
     """Per sector, in paint order (light, dark, arc): the path of every
     vertex, "" where the probability is 0.  Nine lists of n strings."""
-    arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(style.arc_stroke)}"'
+    arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(_ARC_STROKE)}"'
     pieces = []
     for code, start, end in SECTORS:
-        light, dark = style.colors[code]
+        light, dark = _COLORS[code]
         for stat, shape, paint in ((2, _sector_path, f'fill="{light}"'),
                                    (1, _sector_path, f'fill="{dark}"'),
                                    (0, _arc_path, arc_paint)):
@@ -137,12 +122,12 @@ def _legend(style: GlyphStyle, origin_x: float) -> tuple[str, float, float]:
     with type labels and reference disks for p in {0.25, 0.5, 0.75, 1}."""
     r = style.r_max
     key_cx = 110.0
-    key_cy = style.margin + r + 20.0
+    key_cy = _MARGIN + r + 20.0
     parts = [f'<g id="legend" transform="translate({_fmt(origin_x)},0)">']
     key_paths = []
     labels = []
     for code, start, end in SECTORS:
-        light, dark = style.colors[code]
+        light, dark = _COLORS[code]
         key_paths.append(
             f'<path d="{_sector_path(r, start, end)}" fill="{light}"'
             f' stroke="{dark}" stroke-width="1"/>')
@@ -190,8 +175,8 @@ def render_map(
     if table.shape != (3, 3, n):
         raise ValueError(
             f"expected a (3, 3, {n}) table for {nx}x{ny} grid, got shape {table.shape}")
-    grid_w = 2 * style.margin + (nx - 1) * style.cell
-    grid_h = 2 * style.margin + (ny - 1) * style.cell
+    grid_w = 2 * _MARGIN + (nx - 1) * style.cell
+    grid_h = 2 * _MARGIN + (ny - 1) * style.cell
     legend, legend_w, legend_h = _legend(style, grid_w)
     width = grid_w + legend_w
     height = max(grid_h, legend_h)
@@ -201,8 +186,8 @@ def render_map(
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
         f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
     ]
-    xs = [_fmt(style.margin + i * style.cell) for i in range(nx)]
-    ys = [_fmt(style.margin + (ny - 1 - j) * style.cell) for j in range(ny)]
+    xs = [_fmt(_MARGIN + i * style.cell) for i in range(nx)]
+    ys = [_fmt(_MARGIN + (ny - 1 - j) * style.cell) for j in range(ny)]
     for v, paths in enumerate(zip(*_sector_paths(table, style))):
         i, j = v % nx, v // nx
         open_tag = f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'

@@ -64,8 +64,7 @@ DEFAULT_LEVEL = ConfidenceLevel(0.95)
 class IntervalEstimate:
     """Point estimate and equitailed interval for one occurrence probability.
 
-    `c` and `m` are the generating count and ensemble size where known;
-    estimates reconstructed from interchange files may omit them.
+    `c` and `m` are the generating count and ensemble size where known.
     """
 
     p_hat: float

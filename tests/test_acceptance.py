@@ -94,9 +94,9 @@ def test_criterion_1_classification_oracle():
         field = rng.normal(size=topo88.n)
         types = classify_field(field, topo88)
         negated = classify_field(-field, topo88)
-        if [swap[t] for t in types] != negated:
+        if not np.array_equal([swap[t] for t in types], negated):
             duality_bad += 1
-        if classify_field(2.0 * field + 5.0, topo88) != types:
+        if not np.array_equal(classify_field(2.0 * field + 5.0, topo88), types):
             invariance_bad += 1
 
     elapsed = time.perf_counter() - start

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpci.cli import _read_summary_csv
 from cpci.critical import TYPE_CODES, CriticalType, classify_field, count_types
 from cpci.grid import GridTopology, load_ensemble
 from cpci.stats import ConfidenceLevel, coverage_experiment
@@ -252,6 +253,113 @@ class TestQuery:
         code, _, _ = run_cli("render", "--input", str(summary),
                              "--output", str(tmp_path / "map.svg"))
         assert code == 0 and (tmp_path / "map.svg").exists()
+
+
+SUMMARY_ROWS = [
+    "0,0,0.25,0.125,0.5,0,0,0.25,0.75,0.5,1",
+    "1,0,0,0,0.25,1,0.75,1,0,0,0",
+    "0,1,0.5,0.25,0.75,0.5,0.25,0.75,0,0,0.125",
+    "1,1,0.1,0.05,0.2,0.3,0.2,0.4,0.6,0.5,0.7",
+]
+SUMMARY_META = "# m=4 gamma=0.9"
+SUMMARY_HEADER = "i,j,min_hat,min_lo,min_hi,max_hat,max_lo,max_hi,sad_hat,sad_lo,sad_hi"
+
+
+def summary_text(rows=SUMMARY_ROWS, eol="\n", meta=SUMMARY_META):
+    return eol.join([meta, SUMMARY_HEADER, *rows]) + eol
+
+
+def with_cell(row, k, value, rows=SUMMARY_ROWS):
+    cells = rows[row].split(",")
+    cells[k] = value
+    return [*rows[:row], ",".join(cells), *rows[row + 1:]]
+
+
+def summary_result(values_rows=SUMMARY_ROWS, m=4, gamma=0.9):
+    # Rows are in linear order; the table is [type, stat, vertex].
+    values = np.array([[float(c) for c in r.split(",")[2:]] for r in values_rows])
+    return 2, 2, values.T.reshape(3, 3, len(values_rows)).tobytes(), m, gamma
+
+
+def missing(first, nx, ny):
+    return (f"<path>: missing vertex ({first % nx}, {first // nx}); 4 rows do not "
+            f"cover the {nx}x{ny} grid ({nx * ny} vertices)")
+
+
+# Each case is a summary file and the reader's result: (nx, ny, table
+# bytes, m, gamma), or the message of the ValueError it raises.
+SUMMARY_CONTRACT = [
+    ("plain", summary_text(), summary_result()),
+    ("crlf", summary_text(eol="\r\n"), summary_result()),
+    ("lone-cr", summary_text(eol="\r"), summary_result()),
+    ("u2028", summary_text(eol="\u2028"), summary_result()),
+    ("comments-and-blanks-mid-file",
+     summary_text(rows=[SUMMARY_ROWS[0], "", "# note m=7", "  ", *SUMMARY_ROWS[1:], "#"]),
+     summary_result(m=7)),
+    ("spaces-and-tab",
+     summary_text(rows=[" 0 ,\t0, 0.25 ,0.125,0.5,0,0,0.25,0.75,0.5,1\t", *SUMMARY_ROWS[1:]]),
+     summary_result()),
+    ("underscore-index", summary_text(rows=with_cell(1, 0, "1_0")), missing(1, 11, 2)),
+    ("plus-index", summary_text(rows=with_cell(3, 1, "+1")), summary_result()),
+    ("float-index", summary_text(rows=with_cell(1, 0, "1.0")),
+     "<path>: malformed row '1.0,0,0,0,0.25,1,0.75,1,0,0,0'"),
+    ("infinity-value", summary_text(rows=with_cell(1, 3, "infinity")),
+     "<path>: vertex (1, 0) min_lo=inf is not a probability"),
+    ("nan-value", summary_text(rows=with_cell(2, 10, "nan")),
+     "<path>: vertex (0, 1) sad_hi=nan is not a probability"),
+    ("reverse-order", summary_text(rows=SUMMARY_ROWS[::-1]), summary_result()),
+    ("index-2**53+1", summary_text(rows=with_cell(1, 0, str(2**53 + 1))),
+     missing(1, 2**53 + 2, 2)),
+    ("index-2**62", summary_text(rows=with_cell(1, 0, str(2**62))), missing(1, 2**62 + 1, 2)),
+    ("index-2**63-1", summary_text(rows=with_cell(1, 0, str(2**63 - 1))), missing(1, 2**63, 2)),
+    ("index-2**63", summary_text(rows=with_cell(1, 0, str(2**63))),
+     "<path>: vertex index beyond the 64-bit range"),
+    ("index-2**64", summary_text(rows=with_cell(2, 1, str(2**64))),
+     "<path>: vertex index beyond the 64-bit range"),
+    ("index-below-int64", summary_text(rows=with_cell(0, 1, str(-2**63 - 1))),
+     "<path>: vertex index beyond the 64-bit range"),
+    ("malformed-before-overflow",
+     summary_text(rows=with_cell(3, 4, "abc", with_cell(0, 0, str(2**64)))),
+     "<path>: malformed row '1,1,0.1,0.05,abc,0.3,0.2,0.4,0.6,0.5,0.7'"),
+    ("twelve-fields", summary_text(rows=[*SUMMARY_ROWS[:3], SUMMARY_ROWS[3] + ",0"]),
+     "<path>: expected 11 fields per row, got 12: "
+     "'1,1,0.1,0.05,0.2,0.3,0.2,0.4,0.6,0.5,0.7,0'"),
+    # 10 + 12 fields: the cell count is that of two rows, and every cell
+    # would parse as an index.
+    ("ten-then-twelve-fields",
+     summary_text(rows=["0,0,0,0,0,0,0,0,1,1", "1,0,0,0,0,0,0,0,0,1,1,1",
+                        *SUMMARY_ROWS[2:]]),
+     "<path>: expected 11 fields per row, got 10: '0,0,0,0,0,0,0,0,1,1'"),
+    # Two rows and one cell more: 23 fields read as rows of 12 would line up.
+    ("twenty-three-fields",
+     summary_text(rows=[SUMMARY_ROWS[0] + ",0," + SUMMARY_ROWS[1], *SUMMARY_ROWS[2:]]),
+     "<path>: expected 11 fields per row, got 23: "
+     f"'{SUMMARY_ROWS[0]},0,{SUMMARY_ROWS[1]}'"),
+    ("no-header", "# m=4 gamma=0.9\n\n# nothing else\n", "<path>: no header row found"),
+    ("no-data-rows", summary_text(rows=[]), "<path>: no data rows"),
+    # cpci never quotes a cell, so a quote is a malformed row.
+    ("quoted-index", summary_text(rows=with_cell(0, 0, '"0"')),
+     "<path>: malformed row '\"0\",0,0.25,0.125,0.5,0,0,0.25,0.75,0.5,1'"),
+    ("quoted-value", summary_text(rows=with_cell(1, 3, '"0"')),
+     "<path>: malformed row '1,0,0,\"0\",0.25,1,0.75,1,0,0,0'"),
+]
+
+
+class TestSummaryReader:
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in SUMMARY_CONTRACT],
+        ids=[case[0] for case in SUMMARY_CONTRACT])
+    def test_table_or_message(self, tmp_path, text, expected):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            topology, table, m, gamma = _read_summary_csv(str(path))
+        except ValueError as exc:
+            got = str(exc).replace(str(path), "<path>")
+        else:
+            assert table.dtype == np.float64 and table.flags.c_contiguous
+            got = topology.nx, topology.ny, table.tobytes(), m, gamma
+        assert got == expected
 
 
 class TestRender:

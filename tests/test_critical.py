@@ -159,7 +159,7 @@ class TestClassifyField:
         types = classify_field(np.zeros(t.n), t)
         assert types[0] == CriticalType.MINIMUM
         assert types[-1] == CriticalType.MAXIMUM
-        assert types.count(CriticalType.MINIMUM) >= 1
+        assert np.count_nonzero(types == CriticalType.MINIMUM) >= 1
 
     def test_negation_swaps_minima_and_maxima(self):
         t = GridTopology(8, 8)
@@ -174,7 +174,7 @@ class TestClassifyField:
             field = rng.normal(size=t.n)
             plain = classify_field(field, t)
             negated = classify_field(-field, t)
-            assert negated == [swap[c] for c in plain]
+            assert np.array_equal(negated, [swap[c] for c in plain])
 
     def test_monotone_transform_invariance(self):
         t = GridTopology(8, 8)
@@ -182,8 +182,8 @@ class TestClassifyField:
         for _ in range(10):
             field = rng.uniform(0.5, 10.0, size=t.n)
             base = classify_field(field, t)
-            assert classify_field(2 * field + 5, t) == base
-            assert classify_field(field ** 3, t) == base
+            assert np.array_equal(classify_field(2 * field + 5, t), base)
+            assert np.array_equal(classify_field(field ** 3, t), base)
 
     def test_matches_per_vertex_classification(self):
         t = GridTopology(5, 4)
@@ -201,7 +201,7 @@ class TestClassifyField:
         field = np.random.default_rng(31).normal(size=t.n)
         types = classify_field(field, t)
         assert len(types) == t.n
-        assert all(isinstance(c, CriticalType) for c in types)
+        assert types.dtype == np.int8 and set(types.tolist()) <= set(CriticalType)
 
     @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
     def test_single_row_or_column_rejected(self, nx, ny):

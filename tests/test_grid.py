@@ -164,6 +164,12 @@ class TestEnsemble:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             Ensemble(GridTopology(2, 2), [[1, 2, np.nan, 4]])
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in (0, 2, 7):
+                values = np.arange(8.0).reshape(2, 4)
+                values.flat[where] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    Ensemble(GridTopology(2, 2), values)
 
 
 class TestLoadEnsemble:
@@ -488,6 +494,15 @@ class TestParseMemory:
         ensemble, peak = traced_load_peak(source)
         assert np.array_equal(ensemble.values, values)
         assert peak <= 1.5 * values.nbytes, peak / values.nbytes
+
+    def test_no_temporary_beyond_a_tenth_of_the_values(self):
+        # Only the value array and the parse's chunk buffers remain; a
+        # full-size temporary (a bool mask is 1/8 of the values) would show.
+        values = np.random.default_rng(0).normal(size=(100, 64 * 64))
+        source = io.BytesIO(save_bytes(Ensemble(GridTopology(64, 64), values)))
+        ensemble, peak = traced_load_peak(source)
+        assert np.array_equal(ensemble.values, values)
+        assert peak <= 1.1 * values.nbytes, peak / values.nbytes
 
     @pytest.mark.slow
     def test_large_grid_from_file(self, tmp_path):
