@@ -21,6 +21,7 @@ from .grid import GridTopology, load_ensemble, save_ensemble
 from .render import GlyphStyle, render_map
 from .stats import ConfidenceLevel, coverage_experiment, summarize
 from .synth import (
+    _check_seed,
     estimate_moments,
     ground_truth_probabilities,
     load_moment_model,
@@ -283,8 +284,13 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
     sizes = _parse_list(args.sizes, "--sizes", int, "integers")
     if any(size < 1 for size in sizes):
         raise ValueError(f"--sizes entries must be >= 1, got {sizes}")
+    if len(set(sizes)) != len(sizes):
+        # Each size names its files, so a repeated size would overwrite them.
+        raise ValueError(f"--sizes entries must be distinct, got {sizes}")
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
+    # Only the base seed comes from the user; the per-file seeds below wrap.
+    _check_seed(args.seed)
     os.makedirs(args.output, exist_ok=True)
     ordinal = 0
     for size in sizes:

@@ -165,7 +165,10 @@ def _member_chunk(n: int) -> int:
     # and tally workspace (uint8 code, bool comparison and its uint8 shift,
     # intp table index, int8 type, bool tally mask), plus the float64 values
     # when ground truth draws the chunk: ~30 MB, under the old kernel's
-    # ~50 MB float workspace.  Larger chunks measured no faster.
+    # ~50 MB float workspace.  The sampler's (k, B) uniform and normal
+    # buffers add 16 B bytes per member, B = r rounded up to a multiple of
+    # 4: 384 bytes beside 2 KiB of values at 16x16 with r = 21, and under
+    # the values' 8 n bytes while B < n / 2.  Larger chunks measured no faster.
     return max(1, 1_000_000 // max(n, 1))
 
 

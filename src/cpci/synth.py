@@ -4,9 +4,12 @@ The sample covariance of an m-member ensemble has rank at most m - 1,
 so it is kept in low-rank factor form: an n x r matrix F with F F^T
 equal to the covariance.  Sampling never materializes the n x n matrix.
 
-Members are drawn from counter-based substreams keyed by
-(seed, member index), so a member's values depend only on that pair:
-sequential and parallel generation produce identical ensembles, and
+Members are drawn from one counter-based Philox stream per seed (stream
+version 2): with r factor columns and B = r rounded up to a multiple of
+4, member k is built from uniforms k*B to (k+1)*B - 1 of the stream keyed
+[seed, 0], by the Box-Muller transform.  A member's values depend only
+on the seed and its index: a chunk of members is one counter jump and
+one block draw, chunked and whole draws give identical ensembles, and
 member k of a size-10 draw equals member k of a size-1000 draw.
 
 Models are stored as MMF text through `grid.read_blocks` and
@@ -88,19 +91,38 @@ def estimate_moments(e: Ensemble) -> MomentModel:
 
 
 def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.ndarray:
-    # One generator, re-keyed per member: key [seed, k], counter 0 and an
-    # empty buffer, exactly the state of a fresh Philox(key=[seed, k]).
+    # Stream version 2: member k owns uniforms [k*B, (k+1)*B) of one Philox
+    # stream keyed [seed, 0], with B = r rounded up to a multiple of 4 so a
+    # block is whole 4-word counters and `advance` can address it (Random123:
+    # Salmon et al., SC'11).  Box-Muller turns the block's first half into
+    # radii and its second half into angles; ziggurat draws are rejection-
+    # sampled, so their consumption is not fixed and could not be addressed.
     r = model.factor.shape[1]
-    z = np.empty((stop - start, r))
-    bit_generator = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
-    rng = np.random.Generator(bit_generator)
-    state = bit_generator.state
-    key = state["state"]["key"]
-    for k in range(start, stop):
-        key[1] = k
-        bit_generator.state = state
-        rng.standard_normal(out=z[k - start])
-    return model.mean + z @ model.factor.T
+    width = -(-r // 4) * 4
+    half = width // 2
+    bit_generator = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    bit_generator.advance(start * width // 4)
+    # At least two rows: numpy sends a one-row product to BLAS gemv, whose
+    # sums can differ in the last bit from gemm's, which would break the
+    # prefix property for a single member.
+    u = np.random.Generator(bit_generator).random((max(stop - start, 2), width))
+    radius, angle = u[:, :half], u[:, half:]
+    # sqrt(-2 log(1 - u)) with u in [0, 1): log1p(-u) is always finite.
+    np.negative(radius, out=radius)
+    np.log1p(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * math.pi
+    z = np.empty_like(u)
+    np.cos(angle, out=z[:, :half])
+    np.sin(angle, out=z[:, half:])
+    z[:, :half] *= radius
+    z[:, half:] *= radius
+    # `mean + z @ factor.T` with one (k, n) array instead of two: IEEE
+    # addition is commutative, so the sums are the same.
+    out = z[:, :r] @ model.factor.T
+    out += model.mean
+    return out[:stop - start]
 
 
 def sample_ensemble(model: MomentModel, m_out: int, seed: int = 0) -> Ensemble:

@@ -476,6 +476,23 @@ class TestSynth:
             "--output", str(tmp_path / "s"), "--sizes", "4,0")
         assert code == 2 and ">= 1" in err
 
+    def test_sample_rejects_duplicate_sizes(self, tmp_path, model_file):
+        out_dir = tmp_path / "s"
+        code, stdout, err = run_cli(
+            "synth", "sample", "--input", str(model_file),
+            "--output", str(out_dir), "--sizes", "3,3")
+        assert code == 2 and "distinct" in err
+        assert stdout == "" and not out_dir.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_sample_rejects_seed_outside_64_bits(self, tmp_path, model_file, seed):
+        out_dir = tmp_path / "s"
+        code, stdout, err = run_cli(
+            "synth", "sample", "--input", str(model_file),
+            "--output", str(out_dir), "--sizes", "4", "--seed", seed)
+        assert code == 2 and "64-bit" in err
+        assert stdout == "" and not out_dir.exists()
+
     def test_truth_deterministic_and_collapse_renders(self, tmp_path, model_file):
         csvs = (tmp_path / "t1.csv", tmp_path / "t2.csv")
         for path in csvs:

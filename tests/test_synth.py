@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,7 @@ class TestSampleEnsemble:
         small = sample_ensemble(model, 3, seed=7).values
         large = sample_ensemble(model, 10, seed=7).values
         assert np.array_equal(small, large[:3])
+        assert np.array_equal(sample_ensemble(model, 1, seed=7).values, large[:1])
 
     def test_constant_shift_moves_members_exactly(self):
         model = _random_model()
@@ -155,23 +157,53 @@ class TestSampleEnsemble:
             sample_ensemble(model, 3, seed=0.5)
 
 
-class TestMemberStream:
-    """Member k is N(0, I) drawn from a fresh Philox keyed [seed, k]."""
+def box_muller_stream(seed: int, stop: int, r: int) -> np.ndarray:
+    """Members 0..stop-1 of stream version 2, read from the stream's start.
 
+    No counter jump and no chunking: the whole Philox stream keyed
+    [seed, 0] is drawn, cut into blocks of B = r rounded up to a multiple
+    of 4 uniforms, and each block's halves become radii and angles.
+    """
+    width = -(-r // 4) * 4
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    u = rng.random(stop * width).reshape(stop, width)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :width // 2]))
+    angle = 2.0 * np.pi * u[:, width // 2:]
+    return np.hstack([radius * np.cos(angle), radius * np.sin(angle)])[:, :r]
+
+
+class TestMemberStream:
+    """Member k is Box-Muller over uniforms [k*B, (k+1)*B) of Philox [seed, 0]."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 21])
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-    def test_rows_equal_fresh_philox_per_member(self, seed):
-        # Identity factor and zero mean: the drawn members are the normals.
-        t = GridTopology(2, 3)
-        model = MomentModel(t, np.zeros(t.n), np.eye(t.n))
+    def test_rows_equal_box_muller_over_one_stream(self, seed, r):
+        # Zero mean and the first r identity columns as factor: the drawn
+        # members are the normals, padded with zeros.
+        t = GridTopology(5, 5)
+        model = MomentModel(t, np.zeros(t.n), np.eye(t.n)[:, :r])
         chunk = _member_chunk(t.n)
         start, stop = chunk - 3, chunk + 3
         drawn = _draw_members(model, start, stop, seed)
-        for k in range(start, stop):
-            key = np.array([seed, k], dtype=np.uint64)
-            expected = np.random.Generator(np.random.Philox(key=key)).standard_normal(t.n)
-            assert np.array_equal(drawn[k - start], expected), k
+        expected = box_muller_stream(seed, stop, r)
+        assert np.array_equal(drawn[:, :r], expected[start:])
+        assert not drawn[:, r:].any()
         assert np.array_equal(
             sample_ensemble(model, stop, seed).values[start:], drawn)
+
+    @pytest.mark.parametrize("a, b, c", [(0, 5, 11), (3, 6, 13), (1, 2, 3), (2, 7, 30)])
+    def test_split_draw_equals_whole_draw(self, a, b, c):
+        model = _random_model()
+        parts = np.vstack([_draw_members(model, a, b, 5), _draw_members(model, b, c, 5)])
+        assert np.array_equal(parts, _draw_members(model, a, c, 5))
+
+    def test_normals_pass_kolmogorov_smirnov(self):
+        stats = pytest.importorskip("scipy.stats")
+        t = GridTopology(5, 4)
+        model = MomentModel(t, np.zeros(t.n), np.eye(t.n))
+        normals = _draw_members(model, 0, 10_000, 12).ravel()
+        assert normals.size == 200_000
+        assert stats.kstest(normals, "norm").pvalue > 1e-3
 
 
 def _random_model(seed: int = 11) -> MomentModel:
@@ -231,6 +263,26 @@ class TestGroundTruth:
         monkeypatch.setattr("cpci.synth._member_chunk", lambda n: 7)
         chunked = ground_truth_probabilities(model, 50, seed=6)
         assert np.array_equal(chunked, base)
+
+    def test_peak_memory_within_a_few_chunks(self):
+        # One chunk's (k, n) float64 values is the floor; the kernel's
+        # workspace and the sampler's (k, B) buffers add to it, but no
+        # second (k, n) float64 array may.
+        t = GridTopology(16, 16)
+        members = np.random.default_rng(3).normal(size=(21, t.n))
+        model = estimate_moments(Ensemble(t, members))
+        assert model.rank_bound == 21
+        # Fill the Jeffreys-bound cache first: tracemalloc slows its pure
+        # Python quantile search more than tenfold.
+        ground_truth_probabilities(model, 20_000, seed=1)
+        tracemalloc.start()
+        try:
+            ground_truth_probabilities(model, 20_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk_bytes = _member_chunk(t.n) * t.n * 8
+        assert peak <= 2.75 * chunk_bytes, peak / chunk_bytes
 
     def test_gamma_passthrough(self):
         model = _random_model()
