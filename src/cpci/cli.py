@@ -13,11 +13,12 @@ import io
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 
 import numpy as np
 
 from .critical import CriticalType, TYPE_CODES, classify_field, count_types
-from .grid import GridTopology, load_ensemble, save_ensemble
+from .grid import GridTopology, distinct_rows, load_ensemble, save_ensemble
 from .render import GlyphStyle, render_map
 from .stats import ConfidenceLevel, coverage_experiment, summarize
 from .synth import (
@@ -33,8 +34,9 @@ _SUMMARY_HEADER = (
     "i,j,min_hat,min_lo,min_hi,max_hat,max_lo,max_hi,sad_hat,sad_lo,sad_hi"
 )
 _SUMMARY_COLUMNS = _SUMMARY_HEADER.split(",")[2:]
-_SUMMARY_ROW = "%d,%d" + ",%.9g" * 9
+_SUMMARY_TAIL = ",%.9g" * 9 + "\n"
 _SEED_MOD = 1 << 64
+_ENCODE_CHARS = 1 << 20   # text is encoded this many characters at a time
 
 
 def _fmt9(value: float) -> str:
@@ -47,7 +49,7 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpci-tmp-")
     try:
@@ -55,7 +57,8 @@ def _atomic_write(path: str, data: bytes) -> None:
             # mkstemp creates the file 0600 and os.replace keeps that mode;
             # give it the mode a plain open() would.
             os.fchmod(handle.fileno(), 0o666 & ~_umask())
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -66,7 +69,9 @@ def _atomic_write(path: str, data: bytes) -> None:
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write(path, text.encode("utf-8"))
+    # Encoding by slices holds one slice of UTF-8 at a time, not a full-size copy.
+    _atomic_write(path, (text[k:k + _ENCODE_CHARS].encode("utf-8")
+                         for k in range(0, len(text), _ENCODE_CHARS)))
 
 
 def _load_ensemble_path(path: str):
@@ -79,6 +84,25 @@ def _load_model_path(path: str):
         return load_moment_model(handle)
 
 
+def _vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> str:
+    """CSV text: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
+
+    `tail % row` is formatted once per distinct row (`grid.distinct_rows`)
+    and shared by every vertex whose row has the same bits; the `i,` and
+    `j` pieces are formatted once per column and row of the grid.
+    """
+    distinct, inverse = distinct_rows(rows)
+    # A structured view makes tolist() yield the tuples `%` takes.
+    fields = distinct.view([("", distinct.dtype)] * distinct.shape[1]).ravel()
+    tails = [tail % row for row in fields.tolist()]
+    ny = len(rows) // nx
+    pieces = [header] + [None] * (3 * len(rows))
+    pieces[1::3] = [f"{i}," for i in range(nx)] * ny
+    pieces[2::3] = [str(j) for j in range(ny) for _ in range(nx)]
+    pieces[3::3] = np.array(tails, dtype=object)[inverse].tolist()
+    return "".join(pieces)
+
+
 def _summary_csv(
     table: np.ndarray,
     topology: GridTopology,
@@ -89,12 +113,8 @@ def _summary_csv(
     """Summary CSV text of a (3, 3, n) table; `collapse` writes hat as lo and hi."""
     if collapse:
         table = table[:, [0, 0, 0]]
-    nx = topology.nx
-    lines = [f"# m={m} gamma={_fmt9(gamma)}", _SUMMARY_HEADER]
-    lines.extend(
-        _SUMMARY_ROW % (v % nx, v // nx, *row)
-        for v, row in enumerate(table.reshape(9, topology.n).T.tolist()))
-    return "\n".join(lines) + "\n"
+    return _vertex_csv(f"# m={m} gamma={_fmt9(gamma)}\n{_SUMMARY_HEADER}\n",
+                       table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
 
 
 def _read_summary_csv(path: str):
@@ -223,11 +243,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     counts = np.stack((records.c_min, records.c_max, records.c_saddle))
     topology = ensemble.topology
     if args.counts:
-        nx, m = topology.nx, ensemble.m
-        lines = ["i,j,c_min,c_max,c_saddle,m"]
-        lines.extend("%d,%d,%d,%d,%d,%d" % (v % nx, v // nx, *row, m)
-                     for v, row in enumerate(counts.T.tolist()))
-        _atomic_write_text(args.output, "\n".join(lines) + "\n")
+        _atomic_write_text(args.output, _vertex_csv(
+            "i,j,c_min,c_max,c_saddle,m\n", counts.T, topology.nx, f",%d,%d,%d,{ensemble.m}\n"))
         return 0
     level = ConfidenceLevel(args.gamma)
     table = summarize(counts, ensemble.m, level)
@@ -275,7 +292,7 @@ def cmd_synth_fit(args: argparse.Namespace) -> int:
     model = estimate_moments(ensemble)
     sink = io.BytesIO()
     save_moment_model(model, sink)
-    _atomic_write(args.output, sink.getvalue())
+    _atomic_write(args.output, [sink.getvalue()])
     return 0
 
 
@@ -301,7 +318,7 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
             path = os.path.join(args.output, name)
             sink = io.BytesIO()
             save_ensemble(ensemble, sink)
-            _atomic_write(path, sink.getvalue())
+            _atomic_write(path, [sink.getvalue()])
             print(path)
             ordinal += 1
     return 0
@@ -322,6 +339,8 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     p_values = _parse_list(args.p, "--p", float, "numbers")
     m_values = _parse_list(args.m, "--m", int, "integers")
     level = ConfidenceLevel(args.gamma)
+    # Only the base seed comes from the user; the per-cell seeds below wrap.
+    _check_seed(args.seed)
     lines = ["p,m,gamma,reps,coverage,mean_width"]
     ordinal = 0
     for p in p_values:

@@ -9,10 +9,14 @@ top of it, then a black arc stroked at the point estimate's radius.
 Zero probabilities emit no geometry.
 
 `render_map` reads the (3, 3, n) table of `stats.summarize`, indexed
-[type (min, max, sad), stat (hat, lo, hi), vertex].  A path depends only
-on its sector, its role and one probability, so each distinct
-probability's path is formatted once and shared by every vertex that
-has it.
+[type (min, max, sad), stat (hat, lo, hi), vertex].  A glyph depends
+only on its vertex's nine values, so vertices are keyed by the exact
+bits of those values (`grid.distinct_rows`) and each distinct glyph body
+is formatted once; within it, a path depends only on its sector, its
+role and one probability, so each distinct probability's path is
+formatted once too.  The document is one `"".join` of the header, then
+per vertex a short opening tag and the shared body of its key, then the
+legend, so the full SVG text is held only in the joined string.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridTopology
+from .grid import GridTopology, distinct_rows
 
 __all__ = [
     "GlyphStyle",
@@ -101,7 +105,9 @@ def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
 
 def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:
     """Per sector, in paint order (light, dark, arc): the path of every
-    vertex, "" where the probability is 0.  Nine lists of n strings."""
+    column of the (3, 3, k) `table`, "" where the probability is 0.
+    Nine lists of k strings; `render_map` passes one column per distinct
+    glyph."""
     arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(_ARC_STROKE)}"'
     pieces = []
     for code, start, end in SECTORS:
@@ -180,19 +186,21 @@ def render_map(
     legend, legend_w, legend_h = _legend(style, grid_w)
     width = grid_w + legend_w
     height = max(grid_h, legend_h)
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
+    header = (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{_fmt(width)}" height="{_fmt(height)}" '
-        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-    ]
+        f'viewBox="0 0 {_fmt(width)} {_fmt(height)}">\n'
+    )
     xs = [_fmt(_MARGIN + i * style.cell) for i in range(nx)]
     ys = [_fmt(_MARGIN + (ny - 1 - j) * style.cell) for j in range(ny)]
-    for v, paths in enumerate(zip(*_sector_paths(table, style))):
-        i, j = v % nx, v // nx
-        open_tag = f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
-        body = "\n".join(path for path in paths if path)
-        parts.append(f"{open_tag}\n{body}\n</g>" if body else open_tag + "</g>")
-    parts.append(legend)
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    distinct, inverse = distinct_rows(table.reshape(9, n).T)
+    bodies = ("\n".join(filter(None, paths))
+              for paths in zip(*_sector_paths(distinct.T.reshape(3, 3, -1), style)))
+    closes = [f"\n{body}\n</g>\n" if body else "</g>\n" for body in bodies]
+    # Per vertex: its own opening tag, then the shared rest of its glyph.
+    glyphs = [None] * (2 * n)
+    glyphs[0::2] = [f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
+                    for j in range(ny) for i in range(nx)]
+    glyphs[1::2] = np.array(closes, dtype=object)[inverse].tolist()
+    return "".join([header, *glyphs, legend, "\n</svg>\n"])

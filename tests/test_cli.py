@@ -570,6 +570,15 @@ class TestCoverage:
             "--output", str(tmp_path / "c.csv"))
         assert code == 2 and "--p expects comma-separated numbers" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_rejects_seed_outside_64_bits(self, tmp_path, seed):
+        out = tmp_path / "cov.csv"
+        code, _, err = run_cli(
+            "coverage", "--p", "0.5", "--m", "9", "--reps", "10",
+            "--seed", seed, "--output", str(out))
+        assert code == 2 and "64-bit" in err
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_unknown_command_is_usage_error(self):
