@@ -17,8 +17,14 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .critical import CriticalType, TYPE_CODES, classify_field, count_types
-from .grid import GridTopology, distinct_rows, load_ensemble, save_ensemble
+# `count_types` is not called here; it stays bound because the benchmark's
+# tracer (perfbench/tracer.py) wraps layer functions at the names this module binds.
+from .critical import (  # noqa: F401
+    CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
+)
+from .grid import (
+    GridTopology, distinct_rows, load_ensemble, save_ensemble, stream_ensemble,
+)
 from .render import GlyphStyle, render_map
 from .stats import ConfidenceLevel, coverage_experiment, summarize
 from .synth import (
@@ -223,13 +229,19 @@ def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    ensemble = _load_ensemble_path(args.input)
-    if not 0 <= args.member < ensemble.m:
-        raise ValueError(
-            f"--member must be in [0, {ensemble.m - 1}], got {args.member}")
-    codes = classify_field(ensemble.values[args.member], ensemble.topology)
+    field = None
+    with open(args.input, "rb") as handle:
+        topology, m, members = stream_ensemble(handle, lambda n: 1)
+        # The whole file is parsed, so a malformed one is reported before
+        # an out-of-range --member; only that member's values are kept.
+        for k, member in enumerate(members):
+            if k == args.member:
+                field = member[0]
+    if field is None:
+        raise ValueError(f"--member must be in [0, {m - 1}], got {args.member}")
+    codes = classify_field(field, topology)
     vertices = np.flatnonzero(codes != CriticalType.REGULAR)
-    nx = ensemble.topology.nx
+    nx = topology.nx
     lines = ["i,j,type"]
     lines.extend("%d,%d,%s" % (v % nx, v // nx, TYPE_CODES[code])
                  for v, code in zip(vertices.tolist(), codes[vertices].tolist()))
@@ -238,18 +250,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    ensemble = _load_ensemble_path(args.input)
-    records = count_types(ensemble)
-    counts = np.stack((records.c_min, records.c_max, records.c_saddle))
-    topology = ensemble.topology
+    # Members are parsed and tallied one chunk at a time, so memory does
+    # not grow with m.
+    with open(args.input, "rb") as handle:
+        topology, m, blocks = stream_ensemble(handle, _member_chunk)
+        counts = _tally(blocks, topology)
     if args.counts:
         _atomic_write_text(args.output, _vertex_csv(
-            "i,j,c_min,c_max,c_saddle,m\n", counts.T, topology.nx, f",%d,%d,%d,{ensemble.m}\n"))
+            "i,j,c_min,c_max,c_saddle,m\n", counts.T, topology.nx, f",%d,%d,%d,{m}\n"))
         return 0
     level = ConfidenceLevel(args.gamma)
-    table = summarize(counts, ensemble.m, level)
-    _atomic_write_text(
-        args.output, _summary_csv(table, topology, ensemble.m, level.gamma))
+    table = summarize(counts, m, level)
+    _atomic_write_text(args.output, _summary_csv(table, topology, m, level.gamma))
     return 0
 
 

@@ -7,18 +7,21 @@ six link neighbors; boundary vertices have two to four.
 
 EGF ensembles and MMF moment models share one text layout: a magic
 line, an `nx ny count` header, then blocks of ny rows of nx reals.
-`read_blocks` streams the body in chunks of whole lines into one
-preallocated array: numpy's C text reader parses a chunk of plain
-numeric rows in one step, and any other chunk goes line by line, the
-parse that defines the format.  `write_blocks` writes the layout one
-block at a time; `load_ensemble` and `save_ensemble` are the EGF
-callers, `cpci.synth` holds the MMF ones.
+`stream_blocks` parses the header at once and then the body, as it is
+iterated, in chunks of whole lines into arrays of a given number of
+blocks: numpy's C text reader parses a chunk of plain numeric rows in
+one step, and any other chunk goes line by line, the parse that defines
+the format.  `read_blocks` reads the whole body into one array.
+`write_blocks` writes the layout one block at a time.  The EGF callers
+are `load_ensemble`, `stream_ensemble` (a few members at a time) and
+`save_ensemble`; `cpci.synth` holds the MMF ones.
 """
 
 from __future__ import annotations
 
 import io
-from collections.abc import Callable, Iterable
+import sys
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import IO
 
@@ -31,8 +34,10 @@ __all__ = [
     "ParseError",
     "build_link",
     "load_ensemble",
+    "stream_ensemble",
     "save_ensemble",
     "read_blocks",
+    "stream_blocks",
     "write_blocks",
     "distinct_rows",
 ]
@@ -222,10 +227,11 @@ def _parses_as_float(token: str) -> bool:
     return True
 
 
-def read_blocks(source: IO[bytes], magic: str, header: str,
-                block_name: Callable[[int, int], str],
-                extra: int = 0) -> tuple[GridTopology, np.ndarray]:
-    """Parse a text grid stream into its topology and a (blocks, n) array.
+def stream_blocks(source: IO[bytes], magic: str, header: str,
+                  block_name: Callable[[int, int], str], extra: int = 0,
+                  batch: Callable[[int], int] | None = None,
+                  ) -> tuple[GridTopology, int, Iterator[np.ndarray]]:
+    """Parse the head of a text grid stream; return (topology, count, blocks).
 
     Layout: the `magic` line; the header `nx ny count`, described as
     `header` in errors; then `count + extra` blocks, each ny rows of nx
@@ -234,10 +240,14 @@ def read_blocks(source: IO[bytes], magic: str, header: str,
     Raises ParseError naming the offending line; `block_name(k, count)`
     names block k in row errors.
 
-    The magic and header are read a line at a time, the body in chunks
-    of whole lines straight into the preallocated array.  A chunk of
-    plain numeric rows goes through `_parse_chunk` in one step; any
-    other chunk goes line by line, which defines the format.
+    The magic and header are parsed before this returns.  `blocks` then
+    parses the body as it is iterated and yields it as (k, n) float64
+    arrays of `batch(n)` blocks each (the last may hold fewer), or as one
+    array when `batch` is None; body errors surface from the iteration,
+    after the blocks before them.  The body is read in chunks of whole
+    lines: a chunk of plain numeric rows goes through `_parse_chunk` in
+    one step, even where it spans arrays, and any other chunk goes line
+    by line, which defines the format.
     """
     seen = 0  # lines read so far
     lineno = 1  # the last content line, which end-of-file errors name
@@ -275,54 +285,100 @@ def read_blocks(source: IO[bytes], magic: str, header: str,
     if min(nx, ny, count) < 1:
         raise ParseError(lineno, f"header values must be positive, got {line!r}")
     topology = GridTopology(nx, ny)
-    try:
-        values = np.empty((count + extra, topology.n), dtype=np.float64)
-    except (MemoryError, ValueError):
-        raise ParseError(
-            lineno, f"header {line!r} asks for more values than fit in memory") from None
-    rows = values.reshape(-1, nx)
-    filled = 0
+    total = count + extra
+    head, too_big = lineno, f"header {line!r} asks for more values than fit in memory"
+    # No array can hold more bytes than the address space, and a count
+    # that passes fits the int64 tallies and indices downstream.
+    if total * topology.n > sys.maxsize // 8:
+        raise ParseError(head, too_big)
+    size = total if batch is None else batch(topology.n)
+    end, step = total * ny, size * ny  # rows in the body and per yielded array
 
-    def parse_pending() -> None:
-        nonlocal filled, lineno
-        for lineno, text in pending:
-            if filled == len(rows):
-                raise ParseError(lineno, "trailing content after final block")
-            k, j = divmod(filled, ny)
-            tokens = text.split()
-            if len(tokens) != nx:
-                raise ParseError(lineno, f"expected {nx} values in row {j} of "
-                                         f"{block_name(k, count)}, got {len(tokens)}")
+    def body() -> Iterator[np.ndarray]:
+        nonlocal seen, lineno
+        filled = 0  # rows parsed so far, over the whole body
+
+        def start() -> np.ndarray:
             try:
-                row = np.asarray(tokens, dtype=np.float64)
-            except ValueError:
-                bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
-                raise ParseError(lineno, f"bad number {bad!r}") from None
-            if not np.isfinite(row).all():
-                bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
-                raise ParseError(lineno, f"non-finite value {bad!r}")
-            rows[filled] = row
-            filled += 1
-        pending.clear()
+                return np.empty((min(size, total - filled // ny) * ny, nx))
+            except MemoryError:
+                raise ParseError(head, too_big) from None
 
-    parse_pending()
-    while chunk := source.read(_CHUNK_BYTES):
-        if not chunk.endswith(b"\n"):
-            chunk += source.readline()
-        parsed = _parse_chunk(chunk, nx, len(rows) - filled)
-        if parsed is None:
-            for raw in io.BytesIO(chunk):
-                read(raw)
-                parse_pending()
-        else:
-            rows[filled:filled + len(parsed)] = parsed
-            filled += len(parsed)
-            seen += len(parsed)
-            lineno = seen
-    if filled < len(rows):
-        k, j = divmod(filled, ny)
-        raise ParseError(
-            lineno, f"unexpected end of file, expected row {j} of {block_name(k, count)}")
+        def put(parsed: np.ndarray) -> Iterator[np.ndarray]:
+            """Copy parsed rows in, yielding each array they fill as (k, n) blocks.
+
+            An array is yielded before the next one is allocated, so the
+            consumer works on it while only the rest of `parsed` waits.
+            """
+            nonlocal filled, rows
+            while len(parsed):
+                at = filled % step
+                if at == 0 and filled:
+                    rows = start()
+                stored = min(len(parsed), len(rows) - at)
+                rows[at:at + stored] = parsed[:stored]
+                parsed = parsed[stored:]
+                filled += stored
+                if at + stored == len(rows):
+                    yield rows.reshape(-1, topology.n)
+
+        def parse_pending() -> Iterator[np.ndarray]:
+            nonlocal lineno
+            for lineno, text in pending:
+                if filled == end:
+                    raise ParseError(lineno, "trailing content after final block")
+                k, j = divmod(filled, ny)
+                tokens = text.split()
+                if len(tokens) != nx:
+                    raise ParseError(lineno, f"expected {nx} values in row {j} of "
+                                             f"{block_name(k, count)}, got {len(tokens)}")
+                try:
+                    row = np.asarray(tokens, dtype=np.float64)
+                except ValueError:
+                    bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
+                    raise ParseError(lineno, f"bad number {bad!r}") from None
+                if not np.isfinite(row).all():
+                    bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
+                    raise ParseError(lineno, f"non-finite value {bad!r}")
+                yield from put(row[None])
+            pending.clear()
+
+        # The first array is allocated before any row is parsed, so a header
+        # that asks for more than memory holds fails at the header; the rest
+        # are allocated at their first row.
+        rows = start()
+        yield from parse_pending()
+        while chunk := source.read(_CHUNK_BYTES):
+            if not chunk.endswith(b"\n"):
+                chunk += source.readline()
+            # The room is the rest of the body, not of the current array, so a
+            # chunk that spans two arrays still parses in one step.
+            parsed = _parse_chunk(chunk, nx, end - filled)
+            if parsed is None:
+                for raw in io.BytesIO(chunk):
+                    read(raw)
+                    yield from parse_pending()
+            else:
+                seen += len(parsed)
+                lineno = seen
+                yield from put(parsed)
+        if filled < end:
+            k, j = divmod(filled, ny)
+            raise ParseError(
+                lineno, f"unexpected end of file, expected row {j} of {block_name(k, count)}")
+
+    return topology, count, body()
+
+
+def read_blocks(source: IO[bytes], magic: str, header: str,
+                block_name: Callable[[int, int], str],
+                extra: int = 0) -> tuple[GridTopology, np.ndarray]:
+    """Parse a text grid stream into its topology and one (blocks, n) array.
+
+    The layout, errors and parse are `stream_blocks`'s, read to the end.
+    """
+    topology, _, blocks = stream_blocks(source, magic, header, block_name, extra)
+    values, = blocks
     return topology, values
 
 
@@ -376,10 +432,23 @@ def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[first[by_first]], inverse
 
 
+def _member_name(k: int, m: int) -> str:
+    return f"member {k}"
+
+
 def load_ensemble(source: IO[bytes]) -> Ensemble:
     """Parse an EGF byte stream: magic `EGF1`, header `nx ny m`, m member blocks."""
-    topology, values = read_blocks(source, "EGF1", "nx ny m", lambda k, m: f"member {k}")
-    return Ensemble(topology, values)
+    return Ensemble(*read_blocks(source, "EGF1", "nx ny m", _member_name))
+
+
+def stream_ensemble(source: IO[bytes], batch: Callable[[int], int],
+                    ) -> tuple[GridTopology, int, Iterator[np.ndarray]]:
+    """Open an EGF byte stream as (topology, m, member arrays).
+
+    The arrays are (k, n) with k = `batch(n)` members (the last may hold
+    fewer), parsed as they are iterated; see `stream_blocks`.
+    """
+    return stream_blocks(source, "EGF1", "nx ny m", _member_name, batch=batch)
 
 
 def save_ensemble(e: Ensemble, sink: IO[bytes]) -> None:

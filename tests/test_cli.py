@@ -79,6 +79,19 @@ class TestClassify:
         assert code == 2
         assert "--member must be in [0, 1]" in err
 
+    @pytest.mark.parametrize("member", ["0", "5"], ids=["parsed-before-the-error", "out-of-range"])
+    def test_parse_error_in_a_later_member_wins(self, tmp_path, topo33, member):
+        egf = tmp_path / "in.egf"
+        write_egf(egf, topo33, random_members(topo33, 2, seed=0))
+        lines = egf.read_bytes().splitlines(keepends=True)
+        lines[-1] = b"1 2 oops\n"
+        egf.write_bytes(b"".join(lines))
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(
+            "classify", "--input", str(egf), "--output", str(out), "--member", member)
+        assert code == 2 and "line 8: bad number 'oops'" in err, err
+        assert not out.exists()
+
     def test_missing_input_file(self, tmp_path):
         code, _, err = run_cli(
             "classify", "--input", str(tmp_path / "absent.egf"),
@@ -622,9 +635,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("count", [10**8, 10**14], ids=["no-memory", "too-big"])
     @pytest.mark.parametrize("magic,command", [
-        ("EGF1", ["estimate"]),
+        ("EGF1", ["synth", "fit"]),
         ("MMF1", ["synth", "sample", "--sizes", "4"]),
-    ], ids=["estimate", "sample"])
+    ], ids=["fit", "sample"])
     def test_oversized_header_is_input_error(self, tmp_path, magic, command, count):
         # 10^14 or 10^20 values: beyond any address space, so no allocation
         # can succeed even where memory is overcommitted.
@@ -633,6 +646,27 @@ class TestExitCodes:
         output = tmp_path / "out"
         code, _, err = run_cli(*command, "--input", str(source), "--output", str(output))
         assert code == 2 and "line 2" in err, err
+        assert not output.exists()
+
+    def test_streamed_estimate_parses_up_to_the_bad_row(self, tmp_path):
+        # estimate holds one chunk of members, never all 10^14 values, so
+        # it reads on to the short row.
+        source = tmp_path / "in.egf"
+        source.write_bytes(b"EGF1\n1000 1000 100000000\n1 2\n")
+        output = tmp_path / "out.csv"
+        code, _, err = run_cli("estimate", "--input", str(source), "--output", str(output))
+        assert code == 2 and "line 3: expected 1000 values in row 0 of member 0" in err, err
+        assert not output.exists()
+
+    @pytest.mark.parametrize("count", [10**14, 10**20], ids=["address-space", "int64"])
+    def test_streamed_estimate_rejects_a_count_beyond_its_tally(self, tmp_path, count):
+        # 10^20 values or members: more than any address space holds, and
+        # 10^20 overflows the int64 counts.
+        source = tmp_path / "in.egf"
+        source.write_bytes(f"EGF1\n1000 1000 {count}\n1 2\n".encode())
+        output = tmp_path / "out.csv"
+        code, _, err = run_cli("estimate", "--input", str(source), "--output", str(output))
+        assert code == 2 and "line 2: header" in err, err
         assert not output.exists()
 
     def test_help_exits_zero(self):
