@@ -1,31 +1,38 @@
 """Command-line front end: classify, estimate, query, render, synth, coverage.
 
-Every subcommand composes module operations and writes files atomically
-(temp file + rename), so failures never leave partial output.  Exit
-codes: 0 success, 2 usage or input error, 1 internal error.  Numbers in
-CSV output carry 9 significant digits with LF line endings.
+Every subcommand composes module operations and writes each output file
+through one atomic sink, `_atomic_write`: writers write straight into a
+temp file, which is synced and renamed over the output only when they
+finish, so failures never leave partial output.  Binary writers write
+into the sink's handle; text writers hand it a sequence of `str` pieces,
+encoded one at a time, so no output is held whole as text or bytes.
+Exit codes: 0 success, 2 usage or input error, 1 internal error.
+Numbers in CSV output carry 9 significant digits with LF line endings.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
+import itertools
 import os
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from typing import IO
 
 import numpy as np
 
-# `count_types` is not called here; it stays bound because the benchmark's
-# tracer (perfbench/tracer.py) wraps layer functions at the names this module binds.
+# `count_types` and `render_map` are not called here; they stay bound because
+# the benchmark's tracer (perfbench/tracer.py) wraps layer functions at the
+# names this module binds.
 from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
     GridTopology, distinct_rows, load_ensemble, save_ensemble, stream_ensemble,
 )
-from .render import GlyphStyle, render_map
+from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
 from .stats import ConfidenceLevel, coverage_experiment, summarize
 from .synth import (
     _check_seed,
@@ -42,7 +49,9 @@ _SUMMARY_HEADER = (
 _SUMMARY_COLUMNS = _SUMMARY_HEADER.split(",")[2:]
 _SUMMARY_TAIL = ",%.9g" * 9 + "\n"
 _SEED_MOD = 1 << 64
-_ENCODE_CHARS = 1 << 20   # text is encoded this many characters at a time
+# Summary metadata: key -> (type, valid, requirement); ConfidenceLevel needs gamma in (0, 1).
+_METADATA = {"m": (int, lambda m: m >= 1, "an integer >= 1"),
+             "gamma": (float, lambda g: 0.0 < g < 1.0, "a confidence level in (0, 1)")}
 
 
 def _fmt9(value: float) -> str:
@@ -55,7 +64,15 @@ def _umask() -> int:
     return mask
 
 
-def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+@contextlib.contextmanager
+def _atomic_write(path: str) -> Iterator[IO[bytes]]:
+    """Yield the binary handle of a temp file that replaces `path` on success.
+
+    The only code that creates, renames or removes an output file.  The
+    file and then its directory are fsynced, so a completed output
+    survives a crash; on any failure the temp file is removed and an
+    existing `path` keeps its bytes.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpci-tmp-")
     try:
@@ -63,26 +80,25 @@ def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
             # mkstemp creates the file 0600 and os.replace keeps that mode;
             # give it the mode a plain open() would.
             os.fchmod(handle.fileno(), 0o666 & ~_umask())
-            for chunk in chunks:
-                handle.write(chunk)
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with contextlib.suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    # Encoding by slices holds one slice of UTF-8 at a time, not a full-size copy.
-    _atomic_write(path, (text[k:k + _ENCODE_CHARS].encode("utf-8")
-                         for k in range(0, len(text), _ENCODE_CHARS)))
-
-
-def _load_ensemble_path(path: str):
-    with open(path, "rb") as handle:
-        return load_ensemble(handle)
+def _write_text(path: str, pieces: Iterable[str]) -> None:
+    """Write text pieces through the sink as UTF-8, encoding one piece at a time."""
+    with _atomic_write(path) as sink:
+        sink.writelines(map(str.encode, pieces))
 
 
 def _load_model_path(path: str):
@@ -90,8 +106,8 @@ def _load_model_path(path: str):
         return load_moment_model(handle)
 
 
-def _vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> str:
-    """CSV text: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
+def _vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> list[str]:
+    """CSV pieces: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
 
     `tail % row` is formatted once per distinct row (`grid.distinct_rows`)
     and shared by every vertex whose row has the same bits; the `i,` and
@@ -106,7 +122,7 @@ def _vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> str:
     pieces[1::3] = [f"{i}," for i in range(nx)] * ny
     pieces[2::3] = [str(j) for j in range(ny) for _ in range(nx)]
     pieces[3::3] = np.array(tails, dtype=object)[inverse].tolist()
-    return "".join(pieces)
+    return pieces
 
 
 def _summary_csv(
@@ -115,22 +131,33 @@ def _summary_csv(
     m: int,
     gamma: float,
     collapse: bool = False,
-) -> str:
-    """Summary CSV text of a (3, 3, n) table; `collapse` writes hat as lo and hi."""
+) -> list[str]:
+    """Summary CSV pieces of a (3, 3, n) table; `collapse` writes hat as lo and hi."""
     if collapse:
         table = table[:, [0, 0, 0]]
     return _vertex_csv(f"# m={m} gamma={_fmt9(gamma)}\n{_SUMMARY_HEADER}\n",
                        table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
 
 
+def _metadata(path: str, key: str, value: str):
+    """`value` parsed as summary metadata `key` requires, else a ValueError naming both."""
+    kind, valid, requirement = _METADATA[key]
+    with contextlib.suppress(ValueError):
+        number = kind(value)
+        if valid(number):
+            return number
+    raise ValueError(f"{path}: metadata {key}={value!r} is not {requirement}")
+
+
 def _read_summary_csv(path: str):
     """Parse a summary CSV back into a (3, 3, n) table in linear vertex order.
 
     Returns (topology, table, m, gamma); m and gamma are None when the
-    metadata comment is absent.  The row count is checked against the
-    grid the indices span before any per-vertex array is allocated.
+    metadata comment is absent, and an error when present but not an
+    integer >= 1 and a level in (0, 1).  The row count is checked against
+    the grid the indices span before any per-vertex array is allocated.
     """
-    m = gamma = None
+    metadata = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
         raw_lines = handle.read().splitlines()
     data_lines = []
@@ -141,10 +168,8 @@ def _read_summary_csv(path: str):
         if stripped.startswith("#"):
             for token in stripped.lstrip("#").split():
                 key, _, value = token.partition("=")
-                if key == "m" and value:
-                    m = int(value)
-                elif key == "gamma" and value:
-                    gamma = float(value)
+                if key in _METADATA and value:
+                    metadata[key] = _metadata(path, key, value)
             continue
         data_lines.append(stripped)
     if not data_lines:
@@ -215,7 +240,7 @@ def _read_summary_csv(path: str):
             f"{path}: vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + 1]}="
             f"{float(table[t, 1, v])!r} exceeds {_SUMMARY_COLUMNS[3 * t + 2]}="
             f"{float(table[t, 2, v])!r}")
-    return topology, table, m, gamma
+    return topology, table, metadata.get("m"), metadata.get("gamma")
 
 
 def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
@@ -241,11 +266,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
         raise ValueError(f"--member must be in [0, {m - 1}], got {args.member}")
     codes = classify_field(field, topology)
     vertices = np.flatnonzero(codes != CriticalType.REGULAR)
-    nx = topology.nx
-    lines = ["i,j,type"]
-    lines.extend("%d,%d,%s" % (v % nx, v // nx, TYPE_CODES[code])
-                 for v, code in zip(vertices.tolist(), codes[vertices].tolist()))
-    _atomic_write_text(args.output, "\n".join(lines) + "\n")
+    _write_text(args.output, ["i,j,type\n", *(
+        "%d,%d,%s\n" % (*topology.coords(v), TYPE_CODES[code])
+        for v, code in zip(vertices.tolist(), codes[vertices].tolist()))])
     return 0
 
 
@@ -256,12 +279,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         topology, m, blocks = stream_ensemble(handle, _member_chunk)
         counts = _tally(blocks, topology)
     if args.counts:
-        _atomic_write_text(args.output, _vertex_csv(
+        _write_text(args.output, _vertex_csv(
             "i,j,c_min,c_max,c_saddle,m\n", counts.T, topology.nx, f",%d,%d,%d,{m}\n"))
         return 0
     level = ConfidenceLevel(args.gamma)
     table = summarize(counts, m, level)
-    _atomic_write_text(args.output, _summary_csv(table, topology, m, level.gamma))
+    _write_text(args.output, _summary_csv(table, topology, m, level.gamma))
     return 0
 
 
@@ -295,16 +318,15 @@ def cmd_render(args: argparse.Namespace) -> int:
                 f"vertex ({i}, {j}) type {('min', 'max', 'sad')[t]} has "
                 "(%.9g, %.9g, %.9g)" % tuple(table[t, :, v].tolist()))
     style = GlyphStyle(r_max=args.rmax, cell=args.cell)
-    _atomic_write_text(args.output, render_map(table, topology, style))
+    _write_text(args.output, render_map_pieces(table, topology, style))
     return 0
 
 
 def cmd_synth_fit(args: argparse.Namespace) -> int:
-    ensemble = _load_ensemble_path(args.input)
-    model = estimate_moments(ensemble)
-    sink = io.BytesIO()
-    save_moment_model(model, sink)
-    _atomic_write(args.output, [sink.getvalue()])
+    with open(args.input, "rb") as handle:
+        model = estimate_moments(load_ensemble(handle))
+    with _atomic_write(args.output) as sink:
+        save_moment_model(model, sink)
     return 0
 
 
@@ -321,18 +343,11 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
     # Only the base seed comes from the user; the per-file seeds below wrap.
     _check_seed(args.seed)
     os.makedirs(args.output, exist_ok=True)
-    ordinal = 0
-    for size in sizes:
-        for k in range(args.count):
-            seed = (args.seed + ordinal) % _SEED_MOD
-            ensemble = sample_ensemble(model, size, seed)
-            name = f"sample_m{size}_{k:02d}.egf"
-            path = os.path.join(args.output, name)
-            sink = io.BytesIO()
-            save_ensemble(ensemble, sink)
-            _atomic_write(path, [sink.getvalue()])
-            print(path)
-            ordinal += 1
+    for seed, (size, k) in enumerate(itertools.product(sizes, range(args.count)), args.seed):
+        path = os.path.join(args.output, f"sample_m{size}_{k:02d}.egf")
+        with _atomic_write(path) as sink:
+            save_ensemble(sample_ensemble(model, size, seed % _SEED_MOD), sink)
+        print(path)
     return 0
 
 
@@ -340,10 +355,8 @@ def cmd_synth_truth(args: argparse.Namespace) -> int:
     model = _load_model_path(args.input)
     level = ConfidenceLevel(args.gamma)
     table = ground_truth_probabilities(model, args.draws, args.seed, level)
-    _atomic_write_text(
-        args.output,
-        _summary_csv(table, model.topology, args.draws, level.gamma,
-                     collapse=args.collapse))
+    _write_text(args.output, _summary_csv(table, model.topology, args.draws, level.gamma,
+                                          collapse=args.collapse))
     return 0
 
 
@@ -353,18 +366,14 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     level = ConfidenceLevel(args.gamma)
     # Only the base seed comes from the user; the per-cell seeds below wrap.
     _check_seed(args.seed)
-    lines = ["p,m,gamma,reps,coverage,mean_width"]
-    ordinal = 0
-    for p in p_values:
-        for m in m_values:
-            report = coverage_experiment(
-                p, m, level, reps=args.reps, seed=(args.seed + ordinal) % _SEED_MOD)
-            lines.append(
-                f"{_fmt9(report.p_true)},{report.m},{_fmt9(report.gamma)},"
-                f"{report.reps},{_fmt9(report.empirical_coverage)},"
-                f"{_fmt9(report.mean_width)}")
-            ordinal += 1
-    _atomic_write_text(args.output, "\n".join(lines) + "\n")
+    lines = ["p,m,gamma,reps,coverage,mean_width\n"]
+    for seed, (p, m) in enumerate(itertools.product(p_values, m_values), args.seed):
+        report = coverage_experiment(p, m, level, reps=args.reps, seed=seed % _SEED_MOD)
+        lines.append(
+            f"{_fmt9(report.p_true)},{report.m},{_fmt9(report.gamma)},"
+            f"{report.reps},{_fmt9(report.empirical_coverage)},"
+            f"{_fmt9(report.mean_width)}\n")
+    _write_text(args.output, lines)
     return 0
 
 

@@ -8,15 +8,16 @@ paint order is: light fill out to p_upper, dark fill out to p_lower on
 top of it, then a black arc stroked at the point estimate's radius.
 Zero probabilities emit no geometry.
 
-`render_map` reads the (3, 3, n) table of `stats.summarize`, indexed
-[type (min, max, sad), stat (hat, lo, hi), vertex].  A glyph depends
-only on its vertex's nine values, so vertices are keyed by the exact
-bits of those values (`grid.distinct_rows`) and each distinct glyph body
-is formatted once; within it, a path depends only on its sector, its
-role and one probability, so each distinct probability's path is
-formatted once too.  The document is one `"".join` of the header, then
-per vertex a short opening tag and the shared body of its key, then the
-legend, so the full SVG text is held only in the joined string.
+`render_map_pieces` reads the (3, 3, n) table of `stats.summarize`,
+indexed [type (min, max, sad), stat (hat, lo, hi), vertex].  A glyph
+depends only on its vertex's nine values, so vertices are keyed by the
+exact bits of those values (`grid.distinct_rows`) and each distinct
+glyph body is formatted once; within it, a path depends only on its
+sector, its role and one probability, so each distinct probability's
+path is formatted once too.  The document is the list of the header,
+then per vertex a short opening tag and the shared body of its key, then
+the legend.  A writer can encode the pieces one at a time, so the full
+SVG text is never held; `render_map` is their `"".join`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ __all__ = [
     "SECTORS",
     "glyph_radius",
     "render_map",
+    "render_map_pieces",
 ]
 
 SECTORS = (("max", 90.0, 210.0), ("min", 210.0, 330.0), ("sad", 330.0, 450.0))
@@ -164,12 +166,18 @@ def _legend(style: GlyphStyle, origin_x: float) -> tuple[str, float, float]:
     return "\n".join(parts), width, height
 
 
-def render_map(
+def render_map(table: np.ndarray, topology: GridTopology,
+               style: GlyphStyle = GlyphStyle()) -> str:
+    """Full SVG document: the `"".join` of `render_map_pieces`."""
+    return "".join(render_map_pieces(table, topology, style))
+
+
+def render_map_pieces(
     table: np.ndarray,
     topology: GridTopology,
     style: GlyphStyle = GlyphStyle(),
-) -> str:
-    """Full SVG document: one glyph per vertex plus the legend.
+) -> list[str]:
+    """SVG document, one glyph per vertex plus the legend, as a list of text pieces.
 
     `table` is the (3, 3, n) probability table of `stats.summarize`.
     Vertex (i, j) is centered at (margin + i*cell, margin + (ny-1-j)*cell),
@@ -203,4 +211,4 @@ def render_map(
     glyphs[0::2] = [f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
                     for j in range(ny) for i in range(nx)]
     glyphs[1::2] = np.array(closes, dtype=object)[inverse].tolist()
-    return "".join([header, *glyphs, legend, "\n</svg>\n"])
+    return [header, *glyphs, legend, "\n</svg>\n"]

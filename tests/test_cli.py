@@ -355,6 +355,30 @@ SUMMARY_CONTRACT = [
      "<path>: malformed row '\"0\",0,0.25,0.125,0.5,0,0,0.25,0.75,0.5,1'"),
     ("quoted-value", summary_text(rows=with_cell(1, 3, '"0"')),
      "<path>: malformed row '1,0,0,\"0\",0.25,1,0.75,1,0,0,0'"),
+    # The metadata must describe an estimate: m >= 1 members and a
+    # confidence level in (0, 1), as ConfidenceLevel requires.
+    ("m-not-integer", summary_text(meta="# m=abc gamma=0.9"),
+     "<path>: metadata m='abc' is not an integer >= 1"),
+    ("m-float", summary_text(meta="# m=4.0 gamma=0.9"),
+     "<path>: metadata m='4.0' is not an integer >= 1"),
+    ("m-negative", summary_text(meta="# m=-3 gamma=0.9"),
+     "<path>: metadata m='-3' is not an integer >= 1"),
+    ("m-zero", summary_text(meta="# m=0 gamma=0.9"),
+     "<path>: metadata m='0' is not an integer >= 1"),
+    ("m-one", summary_text(meta="# m=1 gamma=0.9"), summary_result(m=1)),
+    ("gamma-not-number", summary_text(meta="# m=4 gamma=high"),
+     "<path>: metadata gamma='high' is not a confidence level in (0, 1)"),
+    ("gamma-two", summary_text(meta="# m=4 gamma=2"),
+     "<path>: metadata gamma='2' is not a confidence level in (0, 1)"),
+    ("gamma-zero", summary_text(meta="# m=4 gamma=0"),
+     "<path>: metadata gamma='0' is not a confidence level in (0, 1)"),
+    ("gamma-one", summary_text(meta="# m=4 gamma=1"),
+     "<path>: metadata gamma='1' is not a confidence level in (0, 1)"),
+    ("gamma-nan", summary_text(meta="# m=4 gamma=nan"),
+     "<path>: metadata gamma='nan' is not a confidence level in (0, 1)"),
+    ("bad-metadata-in-later-comment",
+     summary_text(rows=[*SUMMARY_ROWS, "# m=-1"]),
+     "<path>: metadata m='-1' is not an integer >= 1"),
 ]
 
 

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpci import grid, render
-from cpci.cli import _SUMMARY_HEADER, _atomic_write_text, _read_summary_csv, _summary_csv
+from cpci.cli import _SUMMARY_HEADER, _read_summary_csv, _summary_csv, _write_text
 from cpci.critical import count_types
 from cpci.grid import Ensemble, GridTopology, distinct_rows
-from cpci.render import GlyphStyle, render_map
+from cpci.render import GlyphStyle, render_map, render_map_pieces
 from cpci.stats import ConfidenceLevel, summarize
 
 from conftest import run_cli, write_egf
@@ -78,7 +78,7 @@ def render_map_oracle(table, topology, style=GlyphStyle()) -> str:
 def assert_writers_match(table, topology, style=GlyphStyle()):
     assert render_map(table, topology, style) == render_map_oracle(table, topology, style)
     for collapse in (False, True):
-        assert (_summary_csv(table, topology, 50, 0.95, collapse=collapse)
+        assert ("".join(_summary_csv(table, topology, 50, 0.95, collapse=collapse))
                 == summary_csv_oracle(table, topology, 50, 0.95, collapse=collapse))
 
 
@@ -175,7 +175,7 @@ class TestKeyedWritersMatchOracles:
         topology, table, _, _ = _read_summary_csv(str(path))
         assert np.signbit(table).sum() == 13
         assert_writers_match(table, topology)
-        assert _summary_csv(table, topology, 4, 0.95) == path.read_text()
+        assert "".join(_summary_csv(table, topology, 4, 0.95)) == path.read_text()
 
     @pytest.mark.parametrize("nx, ny", [(1, 1), (1, 5), (5, 1), (2, 2)])
     def test_small_grids(self, nx, ny):
@@ -202,26 +202,26 @@ class TestKeyedWritersMatchOracles:
 
 
 def render_and_write_peak(table, topology, path) -> float:
-    """tracemalloc peak of `render_map` plus `_atomic_write_text`, over the SVG's length."""
+    """tracemalloc peak of the CLI's render path, `render_map_pieces` into
+    `_write_text`, over the size of the SVG it writes."""
     tracemalloc.start()
     try:
-        svg = render_map(table, topology)
-        _atomic_write_text(str(path), svg)
+        _write_text(str(path), render_map_pieces(table, topology))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert path.stat().st_size == len(svg)
-    return peak / len(svg)
+    assert path.read_text() == render_map(table, topology)
+    return peak / path.stat().st_size
 
 
 class TestRenderMemory:
-    """The SVG text is held once: no per-vertex copy and no full-size bytes copy."""
+    """The SVG is written piece by piece: its text is never held whole."""
 
-    def test_peak_within_one_and_a_half_svgs(self, tmp_path):
+    def test_peak_within_half_an_svg(self, tmp_path):
         t = GridTopology(128, 128)
-        assert render_and_write_peak(estimate_table(t), t, tmp_path / "map.svg") <= 1.5
+        assert render_and_write_peak(estimate_table(t), t, tmp_path / "map.svg") <= 0.5
 
     @pytest.mark.slow
-    def test_peak_within_one_and_a_half_svgs_at_256(self, tmp_path):
+    def test_peak_within_half_an_svg_at_256(self, tmp_path):
         t = GridTopology(256, 256)
-        assert render_and_write_peak(estimate_table(t), t, tmp_path / "map.svg") <= 1.5
+        assert render_and_write_peak(estimate_table(t), t, tmp_path / "map.svg") <= 0.5
