@@ -30,7 +30,7 @@ from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
-    GridTopology, distinct_rows, load_ensemble, save_ensemble, stream_ensemble,
+    GridTopology, distinct_rows, load_ensemble, read_plain, save_ensemble, stream_ensemble,
 )
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
 from .stats import ConfidenceLevel, coverage_experiment, summarize
@@ -48,6 +48,11 @@ _SUMMARY_HEADER = (
 )
 _SUMMARY_COLUMNS = _SUMMARY_HEADER.split(",")[2:]
 _SUMMARY_TAIL = ",%.9g" * 9 + "\n"
+_SUMMARY_HEADER_LINE = (_SUMMARY_HEADER + "\n").encode("ascii")
+# The bytes of the summary rows that numpy's C text reader parses in one
+# step, and the record it parses each row into; i and j stay exact int64.
+_SUMMARY_PLAIN = b"0123456789.eE+-,\n"
+_SUMMARY_RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("values", np.float64, (9,))])
 _SEED_MOD = 1 << 64
 # Summary metadata: key -> (type, valid, requirement); ConfidenceLevel needs gamma in (0, 1).
 _METADATA = {"m": (int, lambda m: m >= 1, "an integer >= 1"),
@@ -149,29 +154,36 @@ def _metadata(path: str, key: str, value: str):
     raise ValueError(f"{path}: metadata {key}={value!r} is not {requirement}")
 
 
-def _read_summary_csv(path: str):
-    """Parse a summary CSV back into a (3, 3, n) table in linear vertex order.
+def _content_lines(path: str, lines: Iterable[str], metadata: dict) -> Iterator[str]:
+    """The stripped lines of a summary that are neither blank nor comments.
 
-    Returns (topology, table, m, gamma); m and gamma are None when the
-    metadata comment is absent, and an error when present but not an
-    integer >= 1 and a level in (0, 1).  The row count is checked against
-    the grid the indices span before any per-vertex array is allocated.
+    Each comment is scanned for metadata into `metadata`, the last one
+    winning; a bad value is a ValueError naming `path` and the key.
     """
-    metadata = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        raw_lines = handle.read().splitlines()
-    data_lines = []
-    for line in raw_lines:
+    for line in lines:
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
             for token in stripped.lstrip("#").split():
                 key, _, value = token.partition("=")
                 if key in _METADATA and value:
                     metadata[key] = _metadata(path, key, value)
-            continue
-        data_lines.append(stripped)
+        elif stripped:
+            yield stripped
+
+
+def _read_summary_columns(path: str):
+    """Parse a summary CSV column-wise; return (metadata, i, j, values, row).
+
+    This parse defines the summary format and every message of a file it
+    rejects.  `values` is (9, rows), and `row(k)` is the text of data row k.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            raw_lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    metadata = {}
+    data_lines = list(_content_lines(path, raw_lines, metadata))
     if not data_lines:
         raise ValueError(f"{path}: no header row found")
     header = data_lines[0]
@@ -202,10 +214,62 @@ def _read_summary_csv(path: str):
             except ValueError:
                 raise ValueError(f"{path}: malformed row {row!r}") from None
         raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
+    return metadata, i, j, values, rows.__getitem__
+
+
+def _read_plain_summary(path: str):
+    """`_read_summary_columns`'s result through numpy's C text reader, or None.
+
+    Only a file whose metadata and header lines end in LF and whose rows
+    are plain (`grid.read_plain`) is read here; for any other file this
+    returns None, having raised nothing, so every message comes from the
+    column-wise parse.  Such rows hold no spaces, quotes, `_` or letters
+    but `e` and `E`, and a C integer and float parse reads them as int()
+    and float() do.
+    """
+    metadata = {}
+    with open(path, "rb") as handle:
+        for raw in handle:
+            if raw == _SUMMARY_HEADER_LINE:
+                break
+            try:
+                if any(_content_lines(path, raw.decode("utf-8").splitlines(), metadata)):
+                    return None
+            except ValueError:
+                return None
+        else:
+            return None
+        body = handle.tell()
+        records = read_plain(handle, _SUMMARY_PLAIN, ",", _SUMMARY_RECORD)
+    if records is None:
+        return None
+
+    def row(k: int) -> str:
+        # The body is plain, so data row k is its line k.
+        with open(path, "rb") as handle:
+            handle.seek(body)
+            return next(itertools.islice(handle, k, None)).decode("ascii").rstrip("\n")
+
+    return metadata, records["i"], records["j"], records["values"].T, row
+
+
+def _read_summary_csv(path: str):
+    """Parse a summary CSV back into a (3, 3, n) table in linear vertex order.
+
+    Returns (topology, table, m, gamma); m and gamma are None when the
+    metadata comment is absent, and an error when present but not an
+    integer >= 1 and a level in (0, 1).  A plain file is read through
+    numpy's C text reader and any other through the column-wise parse,
+    with the same result; the checks below serve both.  The row count is
+    checked against the grid the indices span before any per-vertex array
+    is allocated.
+    """
+    metadata, i, j, values, row = _read_plain_summary(path) or _read_summary_columns(path)
     negative = (i < 0) | (j < 0)
     if negative.any():
         raise ValueError(
-            f"{path}: negative vertex index in row {rows[np.argmax(negative)]!r}")
+            f"{path}: negative vertex index in row {row(int(np.argmax(negative)))!r}")
+    rows = len(i)
     # Sorted by (j, i), the rows of a complete grid are its vertices in
     # linear order: position k holds (k % nx, k // nx).
     order = np.lexsort((i, j))
@@ -216,17 +280,17 @@ def _read_summary_csv(path: str):
         raise ValueError(f"{path}: duplicate vertex ({si[k]}, {sj[k]})")
     nx, ny = int(si.max()) + 1, int(sj.max()) + 1
     topology = GridTopology(nx, ny)
-    if len(rows) != topology.n:
+    if rows != topology.n:
         # Distinct in-box rows are fewer than the vertices: name the first gap.
-        # k < len(rows), so dividing by min(nx, len(rows)) splits k as nx
-        # does, and that divisor fits int64 where nx (up to 2**63) may not.
-        k, width = np.arange(len(rows)), min(nx, len(rows))
+        # k < rows, so dividing by min(nx, rows) splits k as nx does, and
+        # that divisor fits int64 where nx (up to 2**63) may not.
+        k, width = np.arange(rows), min(nx, rows)
         gap = (si != k % width) | (sj != k // width)
-        first = int(np.argmax(gap)) if gap.any() else len(rows)
+        first = int(np.argmax(gap)) if gap.any() else rows
         raise ValueError(
-            f"{path}: missing vertex ({first % nx}, {first // nx}); {len(rows)} rows "
+            f"{path}: missing vertex ({first % nx}, {first // nx}); {rows} rows "
             f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
-    table = np.ascontiguousarray(values[:, order]).reshape(3, 3, topology.n)
+    table = values.take(order, axis=1).reshape(3, 3, topology.n)
     bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
     if bad.any():
         t, stat, v = np.argwhere(bad)[0].tolist()

@@ -10,8 +10,11 @@ line, an `nx ny count` header, then blocks of ny rows of nx reals.
 `stream_blocks` parses the header at once and then the body, as it is
 iterated, in chunks of whole lines into arrays of a given number of
 blocks: numpy's C text reader parses a chunk of plain numeric rows in
-one step, and any other chunk goes line by line, the parse that defines
-the format.  `read_blocks` reads the whole body into one array.
+one step (`_parse_chunk`), and any other chunk goes line by line, the
+parse that defines the format.  `read_blocks` reads the whole body into
+one array.  `read_plain` is the same fast path for other text tables,
+such as the summary CSV: it parses a whole stream of plain rows through
+`_parse_chunk`, or declines, and its caller then parses by its own rules.
 `write_blocks` writes the layout one block at a time.  The EGF callers
 are `load_ensemble`, `stream_ensemble` (a few members at a time) and
 `save_ensemble`; `cpci.synth` holds the MMF ones.
@@ -37,6 +40,7 @@ __all__ = [
     "stream_ensemble",
     "save_ensemble",
     "read_blocks",
+    "read_plain",
     "stream_blocks",
     "write_blocks",
     "distinct_rows",
@@ -176,7 +180,7 @@ class Ensemble:
 # 256 KiB parse equally fast; at 64 KiB a chunk and its parsed rows add
 # under a tenth to the parse's peak memory once the values pass about 2 MB.
 _CHUNK_BYTES = 1 << 16
-# The only bytes a chunk may hold to be parsed in one step.
+# The only bytes an EGF/MMF chunk may hold to be parsed in one step.
 _PLAIN_BYTES = b"0123456789.eE+- \n"
 
 
@@ -194,29 +198,60 @@ def _split_lines(raw: bytes, lineno: int) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
-def _parse_chunk(chunk: bytes, nx: int, room: int) -> np.ndarray | None:
-    """The (lines, nx) rows of a chunk of plain numeric lines, or None.
+def _line_chunks(source: IO[bytes]) -> Iterator[bytes]:
+    """The rest of `source` in chunks of about `_CHUNK_BYTES` of whole lines."""
+    while chunk := source.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += source.readline()
+        yield chunk
+
+
+def _parse_chunk(chunk: bytes, width: int, room: int, plain: bytes = _PLAIN_BYTES,
+                 delimiter: str | None = None, dtype=np.float64) -> np.ndarray | None:
+    """The (lines, width) items of a chunk of plain lines, or None.
 
     numpy's C text reader parses a chunk only if it has at most `room`
-    lines and only digits, `.eE+-`, spaces and LFs, and if every line
-    gives nx finite values.  Such a chunk has no comment, blank line or
-    other line boundary, and `float` reads its tokens to the same values,
-    so the line-by-line parse would give the same rows.  Any other chunk,
-    well-formed or not, is left to it.
+    lines and only the bytes in `plain`, and if every line gives `width`
+    finite items of `dtype`: numbers split at `delimiter` (None: runs of
+    spaces), or, for a structured dtype, one record of its fields.  The
+    caller picks `plain` so that such a chunk has no comment, blank line
+    or other line boundary and its own parse would read the same items;
+    any other chunk, well-formed or not, is left to that parse.
     """
     lines = chunk.count(b"\n")
     if not 0 < lines <= room:
         return None
     # loadtxt would warn of empty input on a chunk of blank lines.
-    if chunk.isspace() or chunk.translate(None, _PLAIN_BYTES):
+    if chunk.isspace() or chunk.translate(None, plain):
         return None
     try:
-        rows = np.loadtxt(io.BytesIO(chunk), comments=None, ndmin=2)
-    except ValueError:
+        rows = np.loadtxt(io.BytesIO(chunk), dtype, comments=None, delimiter=delimiter,
+                          ndmin=2)
+    except (ValueError, OverflowError):
         return None
-    if rows.shape != (lines, nx) or not np.isfinite(rows).all():
+    fields = [rows] if rows.dtype.names is None else [rows[f] for f in rows.dtype.names]
+    if rows.shape != (lines, width) or not all(np.isfinite(f).all() for f in fields):
         return None
     return rows
+
+
+def read_plain(source: IO[bytes], plain: bytes, delimiter: str,
+               dtype: np.dtype) -> np.ndarray | None:
+    """The rest of `source` as one `dtype` record per line, or None.
+
+    The stream is read in chunks of whole lines, and each must parse in
+    one step (`_parse_chunk` with this alphabet, delimiter and dtype); if
+    one does not, or the stream is empty, this returns None and the caller
+    parses the stream by its own rules.
+    """
+    parts = []
+    for chunk in _line_chunks(source):
+        # No chunk has more lines than bytes, so its length is no bound.
+        rows = _parse_chunk(chunk, 1, len(chunk), plain, delimiter, dtype)
+        if rows is None:
+            return None
+        parts.append(rows)
+    return np.concatenate(parts)[:, 0] if parts else None
 
 
 def _parses_as_float(token: str) -> bool:
@@ -348,9 +383,7 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
         # are allocated at their first row.
         rows = start()
         yield from parse_pending()
-        while chunk := source.read(_CHUNK_BYTES):
-            if not chunk.endswith(b"\n"):
-                chunk += source.readline()
+        for chunk in _line_chunks(source):
             # The room is the rest of the body, not of the current array, so a
             # chunk that spans two arrays still parses in one step.
             parsed = _parse_chunk(chunk, nx, end - filled)

@@ -6,11 +6,16 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from cpci import cli, grid
 from cpci.cli import _read_summary_csv
 from cpci.critical import TYPE_CODES, CriticalType, classify_field, count_types
 from cpci.grid import GridTopology, load_ensemble
@@ -379,24 +384,191 @@ SUMMARY_CONTRACT = [
     ("bad-metadata-in-later-comment",
      summary_text(rows=[*SUMMARY_ROWS, "# m=-1"]),
      "<path>: metadata m='-1' is not an integer >= 1"),
+    # The file is read as bytes; a summary that is not UTF-8 is named, in a
+    # plain row or in the comment before the header.
+    ("invalid-utf8-in-row", summary_text().encode().replace(b"0.125,0.5", b"0.125,\xff"),
+     "<path>: not valid UTF-8 (invalid start byte)"),
+    ("invalid-utf8-in-comment", summary_text(meta="# m=4 gamma=0.9 \xe9").encode("latin-1"),
+     "<path>: not valid UTF-8 (invalid continuation byte)"),
 ]
 
 
+def read_summary(path):
+    """The reader's result: (nx, ny, table bytes, m, gamma), or its message."""
+    try:
+        topology, table, m, gamma = _read_summary_csv(str(path))
+    except ValueError as exc:
+        return str(exc).replace(str(path), "<path>")
+    assert table.dtype == np.float64 and table.flags.c_contiguous
+    return topology.nx, topology.ny, table.tobytes(), m, gamma
+
+
+summary_contract = pytest.mark.parametrize(
+    "text, expected", [case[1:] for case in SUMMARY_CONTRACT],
+    ids=[case[0] for case in SUMMARY_CONTRACT])
+
+
+def write_summary(path, text) -> None:
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+
+
 class TestSummaryReader:
-    @pytest.mark.parametrize(
-        "text, expected", [case[1:] for case in SUMMARY_CONTRACT],
-        ids=[case[0] for case in SUMMARY_CONTRACT])
+    @summary_contract
     def test_table_or_message(self, tmp_path, text, expected):
         path = tmp_path / "summary.csv"
-        path.write_bytes(text.encode("utf-8"))
-        try:
-            topology, table, m, gamma = _read_summary_csv(str(path))
-        except ValueError as exc:
-            got = str(exc).replace(str(path), "<path>")
+        write_summary(path, text)
+        assert read_summary(path) == expected
+
+    @summary_contract
+    def test_column_wise_parse_alone(self, tmp_path, text, expected, monkeypatch):
+        # The column-wise parse defines the format: without the fast path
+        # every file reads the same.
+        monkeypatch.setattr(cli, "_read_plain_summary", lambda path: None)
+        path = tmp_path / "summary.csv"
+        write_summary(path, text)
+        assert read_summary(path) == expected
+
+    def test_invalid_utf8_is_an_input_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(summary_text().encode().replace(b"0.125,0.5", b"0.125,\xff"))
+        code, stdout, err = run_cli("query", "--input", str(path), "0", "0")
+        assert (code, stdout) == (2, "")
+        assert err == f"cpci: error: {path}: not valid UTF-8 (invalid start byte)\n"
+
+
+# Cells and lines that numpy's C reader and int()/float() might read
+# differently: the fast path must read them as the column-wise parse does,
+# or decline.
+INDEX_MUTATIONS = ["+1", "007", "1.0", "1e0", "1_0", "-1", "-0", " 1", "", '"0"',
+                   str(2**63 - 1), str(2**63), str(-2**63 - 1), str(2**53 + 1)]
+VALUE_MUTATIONS = [".5", "5.", "-0", "1e-05", "1E-5", "+.5", "1.", "", "1.5", "-1e-300",
+                   "1e999", "nan", "inf", "e", "-", "0x1", "1_0", " 0.5"]
+LINE_MUTATIONS = ["ten-fields", "twelve-fields", "blank-line", "crlf", "comment", "space",
+                  "duplicate", "drop"]
+VALUE_FORMATS = ["%.9g", "%r", "%.3f", "%.2e"]
+
+
+@st.composite
+def summary_files(draw) -> bytes:
+    """A summary of a small grid as cpci writes it or nearly, maybe mutated."""
+    nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    rows = []
+    for v in draw(st.permutations(range(nx * ny))):
+        cells = [str(v % nx), str(v // nx)]
+        for _ in range(3):
+            lo, hat, hi = sorted(draw(st.lists(probabilities, min_size=3, max_size=3)))
+            fmt = draw(st.sampled_from(VALUE_FORMATS))
+            cells += [fmt % hat, fmt % lo, fmt % hi]
+        rows.append(cells)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        if not rows:
+            break
+        k = draw(st.integers(0, len(rows) - 1))
+        row = rows[k]
+        if draw(st.booleans()):
+            # Half of the cell mutations hit an index.
+            at = draw(st.integers(0, min(1, len(row) - 1)) | st.integers(0, len(row) - 1))
+            row[at] = draw(st.sampled_from(INDEX_MUTATIONS if at < 2 else VALUE_MUTATIONS))
         else:
-            assert table.dtype == np.float64 and table.flags.c_contiguous
-            got = topology.nx, topology.ny, table.tobytes(), m, gamma
-        assert got == expected
+            line = draw(st.sampled_from(LINE_MUTATIONS))
+            if line == "ten-fields":
+                row.pop()
+            elif line == "twelve-fields":
+                row.append("0")
+            elif line == "crlf":
+                row[-1] += "\r"
+            elif line == "space":
+                row[0] = " " + row[0]
+            elif line == "drop":
+                del rows[k]
+            else:
+                rows.insert(k, {"blank-line": [""], "comment": ["# note m=7"],
+                                "duplicate": list(row)}[line])
+    lines = [",".join(row) for row in rows]
+    return summary_text(rows=lines).encode()
+
+
+class TestPlainSummaryEquivalence:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(summary_files(), st.integers(1, 512))
+    def test_same_result_as_the_column_wise_parse(self, tmp_path, data, size):
+        path = tmp_path / "summary.csv"
+        path.write_bytes(data)
+        # Small chunks put most bodies in several chunks, so a chunk after
+        # the first may be the one that declines.
+        with mock.patch.object(grid, "_CHUNK_BYTES", size):
+            fast = read_summary(path)
+        with mock.patch.object(cli, "_read_plain_summary", lambda path: None):
+            column_wise = read_summary(path)
+        assert fast == column_wise
+
+
+def writer_table(topology: GridTopology, seed: int = 12) -> np.ndarray:
+    """A (3, 3, n) table with lo <= hi, holding 0, 1 and tiny values that
+    `%.9g` writes with exponents."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0, 1, (topology.n, 3, 3)) ** rng.choice([1, 6, 60], (topology.n, 3, 1))
+    u[rng.uniform(size=u.shape) < 0.1] = 0.0
+    u[rng.uniform(size=u.shape) < 0.1] = 1.0
+    lo_hat_hi = np.sort(u, axis=-1)
+    return np.ascontiguousarray(lo_hat_hi[:, :, [1, 0, 2]].transpose(1, 2, 0))
+
+
+@pytest.fixture(scope="module")
+def summary_256(tmp_path_factory):
+    """A 256x256 summary as `estimate` would write it, and its path."""
+    topology = GridTopology(256, 256)
+    path = tmp_path_factory.mktemp("summary") / "summary_256.csv"
+    cli._write_text(str(path), cli._summary_csv(writer_table(topology), topology, 50, 0.95))
+    return path
+
+
+@pytest.fixture
+def no_fallback(monkeypatch):
+    def column_wise(path):
+        pytest.fail(f"{path} went through the column-wise parse")
+
+    monkeypatch.setattr(cli, "_read_summary_columns", column_wise)
+
+
+class TestWriterOutputIsPlain:
+    """Every summary cpci writes is read by numpy's C reader, never the fallback."""
+
+    def assert_reads_back(self, path):
+        text = path.read_text()
+        topology, table, m, gamma = _read_summary_csv(str(path))
+        assert "".join(cli._summary_csv(table, topology, m, gamma)) == text
+
+    def test_golden_summary(self, no_fallback):
+        self.assert_reads_back(DATA / "golden_summary.csv")
+
+    def test_collapsed_truth(self, tmp_path, no_fallback):
+        out = tmp_path / "truth.csv"
+        code, _, _ = run_cli("synth", "truth", "--input", str(DATA / "golden_model.mmf"),
+                             "--output", str(out), "--draws", "300", "--collapse")
+        assert code == 0
+        self.assert_reads_back(out)
+
+    def test_zeros_ones_and_exponents_at_256(self, summary_256, no_fallback):
+        text = summary_256.read_text()
+        assert ",0," in text and ",1," in text and "e-" in text
+        self.assert_reads_back(summary_256)
+
+
+class TestSummaryReadMemory:
+    def test_peak_within_a_few_tables(self, summary_256):
+        # Measured 3.6 tables: the parsed records (1.2 tables) and their
+        # chunks while they are joined, then the records, the table and
+        # the sort order.  The column-wise parse's cells took 15.9.
+        tracemalloc.start()
+        try:
+            _, table, _, _ = _read_summary_csv(str(summary_256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * table.nbytes, peak / table.nbytes
 
 
 class TestRender:
