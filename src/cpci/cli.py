@@ -30,7 +30,8 @@ from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
-    GridTopology, distinct_rows, load_ensemble, read_plain, save_ensemble, stream_ensemble,
+    GridTopology, _line_chunks, _parse_chunk, distinct_rows, load_ensemble, save_ensemble,
+    stream_ensemble,
 )
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
 from .stats import ConfidenceLevel, coverage_experiment, summarize
@@ -171,28 +172,40 @@ def _content_lines(path: str, lines: Iterable[str], metadata: dict) -> Iterator[
             yield stripped
 
 
-def _read_summary_columns(path: str):
-    """Parse a summary CSV column-wise; return (metadata, i, j, values, row).
+def _summary_text(handle: IO[bytes], records: list[np.ndarray]) -> bytes:
+    """The bytes of a summary left to its text parse; plain rows go to `records`.
 
-    This parse defines the summary format and every message of a file it
-    rejects.  `values` is (9, rows), and `row(k)` is the text of data row k.
+    The head, the blank and `#` comment lines up to the header line, is
+    always left.  After the header, each chunk of whole lines that numpy's
+    C text reader parses in one step (`_parse_chunk`) with no negative
+    index is appended to `records`; from the first chunk that declines,
+    the rest of the file is left too.  Such a chunk holds no spaces,
+    quotes, `_` or letters but `e` and `E`, and the C reader reads its
+    cells as int() and float() do.
     """
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
-            raw_lines = handle.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    metadata = {}
-    data_lines = list(_content_lines(path, raw_lines, metadata))
-    if not data_lines:
-        raise ValueError(f"{path}: no header row found")
-    header = data_lines[0]
-    if header != _SUMMARY_HEADER:
-        raise ValueError(
-            f"{path}: unexpected header {header!r}; expected {_SUMMARY_HEADER!r}")
-    rows = data_lines[1:]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    head = []
+    for raw in handle:
+        head.append(raw)
+        if raw == _SUMMARY_HEADER_LINE:
+            break
+        if raw.strip()[:1] not in (b"", b"#"):
+            return b"".join(head) + handle.read()
+    for chunk in _line_chunks(handle):
+        # No chunk has more lines than bytes, so its length is no bound.
+        rows = _parse_chunk(chunk, 1, len(chunk), _SUMMARY_PLAIN, ",", _SUMMARY_RECORD)
+        if rows is None or (rows["i"] < 0).any() or (rows["j"] < 0).any():
+            return b"".join(head) + chunk + handle.read()
+        records.append(rows[:, 0])
+    return b"".join(head)
+
+
+def _parse_text_rows(path: str, rows: list[str]) -> np.ndarray:
+    """Parse stripped summary data rows column-wise into `_SUMMARY_RECORD`s.
+
+    A ValueError names the first row that is not 11 fields which int()
+    (the indices) and float() (the values) accept; if there is none, an
+    index beyond int64; and then the first row with a negative index.
+    """
     # Each row is followed by a "\n" cell, which int() and float() reject.
     # The eleven columns below skip every 12th cell, so they parse only if
     # each "\n" sits there, and then the reshape holds only if there are
@@ -214,43 +227,48 @@ def _read_summary_columns(path: str):
             except ValueError:
                 raise ValueError(f"{path}: malformed row {row!r}") from None
         raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
-    return metadata, i, j, values, rows.__getitem__
+    negative = (i < 0) | (j < 0)
+    if negative.any():
+        raise ValueError(
+            f"{path}: negative vertex index in row {rows[int(np.argmax(negative))]!r}")
+    del cells  # the cells take about ten times the records built below
+    records = np.empty(len(rows), _SUMMARY_RECORD)
+    records["i"], records["j"], records["values"] = i, j, values.T
+    return records
 
 
-def _read_plain_summary(path: str):
-    """`_read_summary_columns`'s result through numpy's C text reader, or None.
+def _read_summary_rows(path: str):
+    """Parse the rows of a summary CSV; return (metadata, records).
 
-    Only a file whose metadata and header lines end in LF and whose rows
-    are plain (`grid.read_plain`) is read here; for any other file this
-    returns None, having raised nothing, so every message comes from the
-    column-wise parse.  Such rows hold no spaces, quotes, `_` or letters
-    but `e` and `E`, and a C integer and float parse reads them as int()
-    and float() do.
+    `records` holds one `_SUMMARY_RECORD` per data row.  Plain rows after
+    the header are parsed in chunks through numpy's C text reader
+    (`_summary_text`).  The rest of the file, from the first chunk that
+    declines, is parsed as text together with the head: the comments are
+    scanned for metadata and the rows go to `_parse_text_rows`.  This text
+    parse defines the summary format and every message of a file it
+    rejects.  Plain rows are ASCII, hold no `#` and are valid rows with
+    indices >= 0, so leaving them out of the text changes no message.
     """
-    metadata = {}
+    records = []
     with open(path, "rb") as handle:
-        for raw in handle:
-            if raw == _SUMMARY_HEADER_LINE:
-                break
-            try:
-                if any(_content_lines(path, raw.decode("utf-8").splitlines(), metadata)):
-                    return None
-            except ValueError:
-                return None
-        else:
-            return None
-        body = handle.tell()
-        records = read_plain(handle, _SUMMARY_PLAIN, ",", _SUMMARY_RECORD)
-    if records is None:
-        return None
-
-    def row(k: int) -> str:
-        # The body is plain, so data row k is its line k.
-        with open(path, "rb") as handle:
-            handle.seek(body)
-            return next(itertools.islice(handle, k, None)).decode("ascii").rstrip("\n")
-
-    return metadata, records["i"], records["j"], records["values"].T, row
+        try:
+            # The raw text is dropped here, before any row is parsed.
+            lines = _summary_text(handle, records).decode("utf-8").splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+    metadata = {}
+    data_lines = list(_content_lines(path, lines, metadata))
+    if not data_lines:
+        raise ValueError(f"{path}: no header row found")
+    header = data_lines[0]
+    if header != _SUMMARY_HEADER:
+        raise ValueError(
+            f"{path}: unexpected header {header!r}; expected {_SUMMARY_HEADER!r}")
+    if len(data_lines) > 1:
+        records.append(_parse_text_rows(path, data_lines[1:]))
+    if not records:
+        raise ValueError(f"{path}: no data rows")
+    return metadata, np.concatenate(records)
 
 
 def _read_summary_csv(path: str):
@@ -258,18 +276,14 @@ def _read_summary_csv(path: str):
 
     Returns (topology, table, m, gamma); m and gamma are None when the
     metadata comment is absent, and an error when present but not an
-    integer >= 1 and a level in (0, 1).  A plain file is read through
-    numpy's C text reader and any other through the column-wise parse,
-    with the same result; the checks below serve both.  The row count is
-    checked against the grid the indices span before any per-vertex array
-    is allocated.
+    integer >= 1 and a level in (0, 1).  The rows are read in one pass
+    (`_read_summary_rows`): plain chunks through numpy's C text reader,
+    the rest column-wise, with the result and messages of a wholly
+    column-wise parse.  The row count is checked against the grid the
+    indices span before any per-vertex array is allocated.
     """
-    metadata, i, j, values, row = _read_plain_summary(path) or _read_summary_columns(path)
-    negative = (i < 0) | (j < 0)
-    if negative.any():
-        raise ValueError(
-            f"{path}: negative vertex index in row {row(int(np.argmax(negative)))!r}")
-    rows = len(i)
+    metadata, records = _read_summary_rows(path)
+    i, j, values, rows = records["i"], records["j"], records["values"].T, len(records)
     # Sorted by (j, i), the rows of a complete grid are its vertices in
     # linear order: position k holds (k % nx, k // nx).
     order = np.lexsort((i, j))

@@ -12,12 +12,13 @@ iterated, in chunks of whole lines into arrays of a given number of
 blocks: numpy's C text reader parses a chunk of plain numeric rows in
 one step (`_parse_chunk`), and any other chunk goes line by line, the
 parse that defines the format.  `read_blocks` reads the whole body into
-one array.  `read_plain` is the same fast path for other text tables,
-such as the summary CSV: it parses a whole stream of plain rows through
-`_parse_chunk`, or declines, and its caller then parses by its own rules.
-`write_blocks` writes the layout one block at a time.  The EGF callers
-are `load_ensemble`, `stream_ensemble` (a few members at a time) and
-`save_ensemble`; `cpci.synth` holds the MMF ones.
+one array.  Other text tables, such as the summary CSV, read their rows
+in the same chunks (`_line_chunks`) through the same fast path, with
+their own byte alphabet, delimiter and record dtype, and parse any chunk
+it declines by their own rules.  `write_blocks` writes the layout one
+block at a time.  The EGF callers are `load_ensemble`, `stream_ensemble`
+(a few members at a time) and `save_ensemble`; `cpci.synth` holds the
+MMF ones.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "stream_ensemble",
     "save_ensemble",
     "read_blocks",
-    "read_plain",
     "stream_blocks",
     "write_blocks",
     "distinct_rows",
@@ -233,25 +233,6 @@ def _parse_chunk(chunk: bytes, width: int, room: int, plain: bytes = _PLAIN_BYTE
     if rows.shape != (lines, width) or not all(np.isfinite(f).all() for f in fields):
         return None
     return rows
-
-
-def read_plain(source: IO[bytes], plain: bytes, delimiter: str,
-               dtype: np.dtype) -> np.ndarray | None:
-    """The rest of `source` as one `dtype` record per line, or None.
-
-    The stream is read in chunks of whole lines, and each must parse in
-    one step (`_parse_chunk` with this alphabet, delimiter and dtype); if
-    one does not, or the stream is empty, this returns None and the caller
-    parses the stream by its own rules.
-    """
-    parts = []
-    for chunk in _line_chunks(source):
-        # No chunk has more lines than bytes, so its length is no bound.
-        rows = _parse_chunk(chunk, 1, len(chunk), plain, delimiter, dtype)
-        if rows is None:
-            return None
-        parts.append(rows)
-    return np.concatenate(parts)[:, 0] if parts else None
 
 
 def _parses_as_float(token: str) -> bool:

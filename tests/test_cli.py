@@ -390,6 +390,12 @@ SUMMARY_CONTRACT = [
      "<path>: not valid UTF-8 (invalid start byte)"),
     ("invalid-utf8-in-comment", summary_text(meta="# m=4 gamma=0.9 \xe9").encode("latin-1"),
      "<path>: not valid UTF-8 (invalid continuation byte)"),
+    # Head shapes: what precedes the header is parsed as text with the rest.
+    ("blank-line-before-header", summary_text(meta=SUMMARY_META + "\n"), summary_result()),
+    ("row-before-header",
+     summary_text(meta=f"{SUMMARY_META}\n{SUMMARY_ROWS[0]}", rows=SUMMARY_ROWS[1:]),
+     f"<path>: unexpected header {SUMMARY_ROWS[0]!r}; expected {SUMMARY_HEADER!r}"),
+    ("later-metadata-wins", summary_text(rows=[*SUMMARY_ROWS, "# m=7"]), summary_result(m=7)),
 ]
 
 
@@ -423,10 +429,19 @@ class TestSummaryReader:
     def test_column_wise_parse_alone(self, tmp_path, text, expected, monkeypatch):
         # The column-wise parse defines the format: without the fast path
         # every file reads the same.
-        monkeypatch.setattr(cli, "_read_plain_summary", lambda path: None)
+        monkeypatch.setattr(cli, "_parse_chunk", lambda *args: None)
         path = tmp_path / "summary.csv"
         write_summary(path, text)
         assert read_summary(path) == expected
+
+    @summary_contract
+    def test_in_one_line_chunks(self, tmp_path, text, expected):
+        # Each line is a chunk of its own, so the plain rows before a line
+        # that declines are parsed in one step and the rest as text.
+        path = tmp_path / "summary.csv"
+        write_summary(path, text)
+        with mock.patch.object(grid, "_CHUNK_BYTES", 1):
+            assert read_summary(path) == expected
 
     def test_invalid_utf8_is_an_input_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -500,7 +515,7 @@ class TestPlainSummaryEquivalence:
         # the first may be the one that declines.
         with mock.patch.object(grid, "_CHUNK_BYTES", size):
             fast = read_summary(path)
-        with mock.patch.object(cli, "_read_plain_summary", lambda path: None):
+        with mock.patch.object(cli, "_parse_chunk", lambda *args: None):
             column_wise = read_summary(path)
         assert fast == column_wise
 
@@ -527,10 +542,10 @@ def summary_256(tmp_path_factory):
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    def column_wise(path):
+    def column_wise(path, rows):
         pytest.fail(f"{path} went through the column-wise parse")
 
-    monkeypatch.setattr(cli, "_read_summary_columns", column_wise)
+    monkeypatch.setattr(cli, "_parse_text_rows", column_wise)
 
 
 class TestWriterOutputIsPlain:
@@ -557,18 +572,54 @@ class TestWriterOutputIsPlain:
         self.assert_reads_back(summary_256)
 
 
+@pytest.fixture(scope="module")
+def late_decline(summary_256, tmp_path_factory):
+    """`summary_256` with a space after its last row: only the last chunk declines."""
+    path = tmp_path_factory.mktemp("summary") / "late_decline.csv"
+    path.write_bytes(summary_256.read_bytes()[:-1] + b" \n")
+    return path
+
+
+def peak_tables(path) -> float:
+    """The tracemalloc peak of reading a summary, in tables of its size."""
+    tracemalloc.start()
+    try:
+        _, table, _, _ = _read_summary_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / table.nbytes
+
+
 class TestSummaryReadMemory:
     def test_peak_within_a_few_tables(self, summary_256):
         # Measured 3.6 tables: the parsed records (1.2 tables) and their
         # chunks while they are joined, then the records, the table and
         # the sort order.  The column-wise parse's cells took 15.9.
-        tracemalloc.start()
-        try:
-            _, table, _, _ = _read_summary_csv(str(summary_256))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4.5 * table.nbytes, peak / table.nbytes
+        assert peak_tables(summary_256) <= 4.5
+
+    def test_late_decline_within_a_few_tables(self, late_decline):
+        # The rows before the declined chunk stay parsed; a second parse of
+        # the whole file measured 13.7 tables.
+        assert peak_tables(late_decline) <= 4.5
+
+    def test_late_decline_parses_only_its_tail_as_text(self, late_decline, summary_256,
+                                                       monkeypatch):
+        parse_text_rows, seen = cli._parse_text_rows, []
+
+        def spy(path, rows):
+            seen.append(rows)
+            return parse_text_rows(path, rows)
+
+        monkeypatch.setattr(cli, "_parse_text_rows", spy)
+        _, table, _, _ = _read_summary_csv(str(late_decline))
+        rows = [row.strip() for row in late_decline.read_text().splitlines()[2:]]
+        [text_rows] = seen
+        # The declined chunk is the last, of at most one chunk and one line.
+        assert text_rows == rows[-len(text_rows):]
+        assert len("\n".join(text_rows)) <= grid._CHUNK_BYTES + len(rows[-1])
+        assert len(text_rows) < len(rows) == 65536
+        assert table.tobytes() == _read_summary_csv(str(summary_256))[1].tobytes()
 
 
 class TestRender:
