@@ -18,6 +18,7 @@ import itertools
 import os
 import sys
 import tempfile
+from array import array
 from collections.abc import Iterable, Iterator
 from typing import IO
 
@@ -36,6 +37,7 @@ from .grid import (
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
 from .stats import ConfidenceLevel, coverage_experiment, summarize
 from .synth import (
+    _SEED_MAX,
     _check_seed,
     estimate_moments,
     ground_truth_probabilities,
@@ -54,7 +56,6 @@ _SUMMARY_HEADER_LINE = (_SUMMARY_HEADER + "\n").encode("ascii")
 # step, and the record it parses each row into; i and j stay exact int64.
 _SUMMARY_PLAIN = b"0123456789.eE+-,\n"
 _SUMMARY_RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("values", np.float64, (9,))])
-_SEED_MOD = 1 << 64
 # Summary metadata: key -> (type, valid, requirement); ConfidenceLevel needs gamma in (0, 1).
 _METADATA = {"m": (int, lambda m: m >= 1, "an integer >= 1"),
              "gamma": (float, lambda g: 0.0 < g < 1.0, "a confidence level in (0, 1)")}
@@ -200,40 +201,33 @@ def _summary_text(handle: IO[bytes], records: list[np.ndarray]) -> bytes:
 
 
 def _parse_text_rows(path: str, rows: list[str]) -> np.ndarray:
-    """Parse stripped summary data rows column-wise into `_SUMMARY_RECORD`s.
+    """Parse stripped summary data rows, one at a time, into `_SUMMARY_RECORD`s.
 
     A ValueError names the first row that is not 11 fields which int()
     (the indices) and float() (the values) accept; if there is none, an
     index beyond int64; and then the first row with a negative index.
     """
-    # Each row is followed by a "\n" cell, which int() and float() reject.
-    # The eleven columns below skip every 12th cell, so they parse only if
-    # each "\n" sits there, and then the reshape holds only if there are
-    # len(rows) of those: together, only if every row has 11 fields.
-    cells = (",\n,".join(rows) + ",\n").split(",")
+    indices, values = [], array("d")
+    for row in rows:
+        fields = row.split(",")
+        if len(fields) != 11:
+            raise ValueError(f"{path}: expected 11 fields per row, got {len(fields)}: {row!r}")
+        try:
+            indices += int(fields[0]), int(fields[1])
+            values.extend(map(float, fields[2:]))
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {row!r}") from None
     try:
-        i, j = np.array([cells[0::12], cells[1::12]], dtype=np.int64).reshape(2, len(rows))
-        values = np.array([cells[k::12] for k in range(2, 11)], dtype=np.float64)
-    except (ValueError, OverflowError):
-        # Name the first row that int() and float() reject, as a row
-        # parser would; if there is none, an index overflowed int64.
-        for row in rows:
-            fields = row.split(",")
-            if len(fields) != 11:
-                raise ValueError(f"{path}: expected 11 fields per row, "
-                                 f"got {len(fields)}: {row!r}") from None
-            try:
-                int(fields[0]), int(fields[1]), *map(float, fields[2:])
-            except ValueError:
-                raise ValueError(f"{path}: malformed row {row!r}") from None
+        i, j = np.array(indices, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:
         raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
     negative = (i < 0) | (j < 0)
     if negative.any():
         raise ValueError(
             f"{path}: negative vertex index in row {rows[int(np.argmax(negative))]!r}")
-    del cells  # the cells take about ten times the records built below
     records = np.empty(len(rows), _SUMMARY_RECORD)
-    records["i"], records["j"], records["values"] = i, j, values.T
+    records["i"], records["j"] = i, j
+    records["values"] = np.frombuffer(values).reshape(-1, 9)
     return records
 
 
@@ -244,10 +238,11 @@ def _read_summary_rows(path: str):
     the header are parsed in chunks through numpy's C text reader
     (`_summary_text`).  The rest of the file, from the first chunk that
     declines, is parsed as text together with the head: the comments are
-    scanned for metadata and the rows go to `_parse_text_rows`.  This text
-    parse defines the summary format and every message of a file it
-    rejects.  Plain rows are ASCII, hold no `#` and are valid rows with
-    indices >= 0, so leaving them out of the text changes no message.
+    scanned for metadata and the rows go to `_parse_text_rows`, which
+    parses them one at a time.  This text parse defines the summary
+    format and every message of a file it rejects.  Plain rows are ASCII,
+    hold no `#` and are valid rows with indices >= 0, so leaving them out
+    of the text changes no message.
     """
     records = []
     with open(path, "rb") as handle:
@@ -278,8 +273,8 @@ def _read_summary_csv(path: str):
     metadata comment is absent, and an error when present but not an
     integer >= 1 and a level in (0, 1).  The rows are read in one pass
     (`_read_summary_rows`): plain chunks through numpy's C text reader,
-    the rest column-wise, with the result and messages of a wholly
-    column-wise parse.  The row count is checked against the grid the
+    the rest row by row, with the result and messages of a wholly
+    row-by-row parse.  The row count is checked against the grid the
     indices span before any per-vertex array is allocated.
     """
     metadata, records = _read_summary_rows(path)
@@ -424,7 +419,7 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
     for seed, (size, k) in enumerate(itertools.product(sizes, range(args.count)), args.seed):
         path = os.path.join(args.output, f"sample_m{size}_{k:02d}.egf")
         with _atomic_write(path) as sink:
-            save_ensemble(sample_ensemble(model, size, seed % _SEED_MOD), sink)
+            save_ensemble(sample_ensemble(model, size, seed % _SEED_MAX), sink)
         print(path)
     return 0
 
@@ -446,7 +441,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     lines = ["p,m,gamma,reps,coverage,mean_width\n"]
     for seed, (p, m) in enumerate(itertools.product(p_values, m_values), args.seed):
-        report = coverage_experiment(p, m, level, reps=args.reps, seed=seed % _SEED_MOD)
+        report = coverage_experiment(p, m, level, reps=args.reps, seed=seed % _SEED_MAX)
         lines.append(
             f"{_fmt9(report.p_true)},{report.m},{_fmt9(report.gamma)},"
             f"{report.reps},{_fmt9(report.empirical_coverage)},"
@@ -566,8 +561,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"cpci: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # A MemoryError comes from an input that asks for more than there
+        # is, such as `synth sample --sizes 10**12`.
+        print(f"cpci: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - defensive
         print(f"cpci: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

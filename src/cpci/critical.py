@@ -164,14 +164,13 @@ def _member_chunk(n: int) -> int:
     # About 10^6 member-vertices per chunk.  Each holds ~13 bytes of kernel
     # and tally workspace (uint8 code, bool comparison and its uint8 shift,
     # intp table index, int8 type, bool tally mask), plus the float64 values
-    # when ground truth draws the chunk or an EGF stream parses it: ~30 MB,
-    # under the old kernel's ~50 MB float workspace.  The stream allocates a
-    # chunk only after the tally has the previous one, so it holds at most
-    # two chunks of values, whatever m is.  The sampler's (k, B) uniform and
-    # normal buffers add 16 B bytes per member, B = r rounded up to a
-    # multiple of 4: 384 bytes beside 2 KiB of values at 16x16 with r = 21,
-    # and under the values' 8 n bytes while B < n / 2.  Larger chunks
-    # measured no faster.
+    # when ground truth draws the chunk or an EGF stream parses it: ~30 MB.
+    # The stream allocates a chunk only after the tally has the previous
+    # one, so it holds at most two chunks of values, whatever m is.  The
+    # sampler's (k, B) uniform and normal buffers add 16 B bytes per member,
+    # B = r rounded up to a multiple of 4: 384 bytes beside 2 KiB of values
+    # at 16x16 with r = 21, and under the values' 8 n bytes while B < n / 2.
+    # Larger chunks measured no faster.
     return max(1, 1_000_000 // max(n, 1))
 
 

@@ -40,6 +40,7 @@ _CF_MAX_ITER = 2000      # ample for a, b well beyond 1e4
 _Q_TOL = 1e-12           # quantile convergence, measured in q-space
 _Q_MAX_ITER = 200
 _COUNT_NAMES = ("c_min", "c_max", "c_saddle")
+_DRAW_CHUNK = 1 << 20    # coverage counts drawn at a time, so memory is O(m), not O(reps)
 
 
 @dataclass(frozen=True)
@@ -343,7 +344,11 @@ def coverage_experiment(
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     rng = np.random.default_rng(seed)
-    frequencies = np.bincount(rng.binomial(m, p_true, size=reps), minlength=m + 1)
+    frequencies = np.zeros(m + 1, dtype=np.int64)
+    # Drawn in chunks, the counts are those of one whole draw.
+    for start in range(0, reps, _DRAW_CHUNK):
+        size = min(_DRAW_CHUNK, reps - start)
+        frequencies += np.bincount(rng.binomial(m, p_true, size=size), minlength=m + 1)
     hits = 0
     width_total = 0.0
     for c, frequency in enumerate(frequencies):

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cpci import cli, grid
@@ -336,6 +336,12 @@ SUMMARY_CONTRACT = [
      "<path>: vertex index beyond the 64-bit range"),
     ("index-below-int64", summary_text(rows=with_cell(0, 1, str(-2**63 - 1))),
      "<path>: vertex index beyond the 64-bit range"),
+    ("negative-before-overflow",
+     summary_text(rows=with_cell(2, 1, str(2**64), with_cell(0, 0, "-1"))),
+     "<path>: vertex index beyond the 64-bit range"),
+    ("negative-before-malformed",
+     summary_text(rows=with_cell(3, 4, "abc", with_cell(1, 0, "-1"))),
+     "<path>: malformed row '1,1,0.1,0.05,abc,0.3,0.2,0.4,0.6,0.5,0.7'"),
     ("malformed-before-overflow",
      summary_text(rows=with_cell(3, 4, "abc", with_cell(0, 0, str(2**64)))),
      "<path>: malformed row '1,1,0.1,0.05,abc,0.3,0.2,0.4,0.6,0.5,0.7'"),
@@ -427,8 +433,8 @@ class TestSummaryReader:
 
     @summary_contract
     def test_column_wise_parse_alone(self, tmp_path, text, expected, monkeypatch):
-        # The column-wise parse defines the format: without the fast path
-        # every file reads the same.
+        # The text parse defines the format: without the fast path every
+        # file reads the same.
         monkeypatch.setattr(cli, "_parse_chunk", lambda *args: None)
         path = tmp_path / "summary.csv"
         write_summary(path, text)
@@ -452,8 +458,8 @@ class TestSummaryReader:
 
 
 # Cells and lines that numpy's C reader and int()/float() might read
-# differently: the fast path must read them as the column-wise parse does,
-# or decline.
+# differently: the fast path must read them as the text parse does, or
+# decline.
 INDEX_MUTATIONS = ["+1", "007", "1.0", "1e0", "1_0", "-1", "-0", " 1", "", '"0"',
                    str(2**63 - 1), str(2**63), str(-2**63 - 1), str(2**53 + 1)]
 VALUE_MUTATIONS = [".5", "5.", "-0", "1e-05", "1E-5", "+.5", "1.", "", "1.5", "-1e-300",
@@ -463,9 +469,8 @@ LINE_MUTATIONS = ["ten-fields", "twelve-fields", "blank-line", "crlf", "comment"
 VALUE_FORMATS = ["%.9g", "%r", "%.3f", "%.2e"]
 
 
-@st.composite
-def summary_files(draw) -> bytes:
-    """A summary of a small grid as cpci writes it or nearly, maybe mutated."""
+def summary_cells(draw) -> list[list[str]]:
+    """The cells of each row of a small grid's summary, as cpci writes them or nearly."""
     nx, ny = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     probabilities = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     rows = []
@@ -476,30 +481,45 @@ def summary_files(draw) -> bytes:
             fmt = draw(st.sampled_from(VALUE_FORMATS))
             cells += [fmt % hat, fmt % lo, fmt % hi]
         rows.append(cells)
+    return rows
+
+
+def mutate_row(draw, rows, k, lines=LINE_MUTATIONS) -> None:
+    """Apply one index, value or `lines` mutation to row `k` of `rows`, in place.
+
+    Only the rows from `k` on move, when the line is dropped or one is
+    inserted before it.
+    """
+    row = rows[k]
+    if draw(st.booleans()):
+        # Half of the cell mutations hit an index.
+        at = draw(st.integers(0, min(1, len(row) - 1)) | st.integers(0, len(row) - 1))
+        row[at] = draw(st.sampled_from(INDEX_MUTATIONS if at < 2 else VALUE_MUTATIONS))
+    else:
+        line = draw(st.sampled_from(lines))
+        if line == "ten-fields":
+            row.pop()
+        elif line == "twelve-fields":
+            row.append("0")
+        elif line == "crlf":
+            row[-1] += "\r"
+        elif line == "space":
+            row[0] = " " + row[0]
+        elif line == "drop":
+            del rows[k]
+        else:
+            rows.insert(k, {"blank-line": [""], "comment": ["# note m=7"],
+                            "duplicate": list(row)}[line])
+
+
+@st.composite
+def summary_files(draw) -> bytes:
+    """A summary of a small grid as cpci writes it or nearly, maybe mutated."""
+    rows = summary_cells(draw)
     for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
         if not rows:
             break
-        k = draw(st.integers(0, len(rows) - 1))
-        row = rows[k]
-        if draw(st.booleans()):
-            # Half of the cell mutations hit an index.
-            at = draw(st.integers(0, min(1, len(row) - 1)) | st.integers(0, len(row) - 1))
-            row[at] = draw(st.sampled_from(INDEX_MUTATIONS if at < 2 else VALUE_MUTATIONS))
-        else:
-            line = draw(st.sampled_from(LINE_MUTATIONS))
-            if line == "ten-fields":
-                row.pop()
-            elif line == "twelve-fields":
-                row.append("0")
-            elif line == "crlf":
-                row[-1] += "\r"
-            elif line == "space":
-                row[0] = " " + row[0]
-            elif line == "drop":
-                del rows[k]
-            else:
-                rows.insert(k, {"blank-line": [""], "comment": ["# note m=7"],
-                                "duplicate": list(row)}[line])
+        mutate_row(draw, rows, draw(st.integers(0, len(rows) - 1)))
     lines = [",".join(row) for row in rows]
     return summary_text(rows=lines).encode()
 
@@ -518,6 +538,77 @@ class TestPlainSummaryEquivalence:
         with mock.patch.object(cli, "_parse_chunk", lambda *args: None):
             column_wise = read_summary(path)
         assert fast == column_wise
+
+
+def column_wise_text_rows(path: str, rows: list[str]) -> np.ndarray:
+    """The reference text parse: stripped summary data rows, parsed column-wise.
+
+    This was the reader's text parse before it went row by row; it gives
+    the same records and the same message as `cli._parse_text_rows`.
+    """
+    # Each row is followed by a "\n" cell, which int() and float() reject.
+    # The eleven columns below skip every 12th cell, so they parse only if
+    # each "\n" sits there, and then the reshape holds only if there are
+    # len(rows) of those: together, only if every row has 11 fields.
+    cells = (",\n,".join(rows) + ",\n").split(",")
+    try:
+        i, j = np.array([cells[0::12], cells[1::12]], dtype=np.int64).reshape(2, len(rows))
+        values = np.array([cells[k::12] for k in range(2, 11)], dtype=np.float64)
+    except (ValueError, OverflowError):
+        # Name the first row that int() and float() reject, as a row
+        # parser would; if there is none, an index overflowed int64.
+        for row in rows:
+            fields = row.split(",")
+            if len(fields) != 11:
+                raise ValueError(f"{path}: expected 11 fields per row, "
+                                 f"got {len(fields)}: {row!r}") from None
+            try:
+                int(fields[0]), int(fields[1]), *map(float, fields[2:])
+            except ValueError:
+                raise ValueError(f"{path}: malformed row {row!r}") from None
+        raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
+    negative = (i < 0) | (j < 0)
+    if negative.any():
+        raise ValueError(
+            f"{path}: negative vertex index in row {rows[int(np.argmax(negative))]!r}")
+    records = np.empty(len(rows), cli._SUMMARY_RECORD)
+    records["i"], records["j"], records["values"] = i, j, values.T
+    return records
+
+
+@st.composite
+def faulty_rows(draw) -> list[str]:
+    """The data rows the reader hands its text parse, with faults in several rows."""
+    rows = summary_cells(draw)
+    faulty = draw(st.sets(st.integers(0, len(rows) - 1), min_size=min(2, len(rows)),
+                          max_size=4))
+    # A field-count fault in any row decides the message, so half of the
+    # files keep 11 fields per row, and the other faults compete.
+    eleven = [line for line in LINE_MUTATIONS if not line.endswith("-fields")]
+    lines = draw(st.sampled_from([LINE_MUTATIONS, eleven]))
+    # From the last row back, so a dropped or inserted line moves no row
+    # that is still to be mutated.
+    for k in sorted(faulty, reverse=True):
+        mutate_row(draw, rows, k, lines)
+    text = summary_text(rows=[",".join(row) for row in rows])
+    return list(cli._content_lines("<path>", text.splitlines(), {}))[1:]
+
+
+def parse_result(parse, rows):
+    """`parse`'s records as bytes, or its message."""
+    try:
+        return parse("<path>", rows).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestRowByRowParse:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(faulty_rows())
+    def test_same_records_or_message_as_the_column_wise_parse(self, rows):
+        assume(rows)
+        row_by_row = parse_result(cli._parse_text_rows, rows)
+        assert row_by_row == parse_result(column_wise_text_rows, rows)
 
 
 def writer_table(topology: GridTopology, seed: int = 12) -> np.ndarray:
@@ -542,10 +633,10 @@ def summary_256(tmp_path_factory):
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    def column_wise(path, rows):
-        pytest.fail(f"{path} went through the column-wise parse")
+    def text_parse(path, rows):
+        pytest.fail(f"{path} went through the text parse")
 
-    monkeypatch.setattr(cli, "_parse_text_rows", column_wise)
+    monkeypatch.setattr(cli, "_parse_text_rows", text_parse)
 
 
 class TestWriterOutputIsPlain:
@@ -580,6 +671,14 @@ def late_decline(summary_256, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def crlf_copy(summary_256, tmp_path_factory):
+    """`summary_256` with CRLF line endings: every chunk declines, so it is all text."""
+    path = tmp_path_factory.mktemp("summary") / "crlf.csv"
+    path.write_bytes(summary_256.read_bytes().replace(b"\n", b"\r\n"))
+    return path
+
+
 def peak_tables(path) -> float:
     """The tracemalloc peak of reading a summary, in tables of its size."""
     tracemalloc.start()
@@ -595,8 +694,14 @@ class TestSummaryReadMemory:
     def test_peak_within_a_few_tables(self, summary_256):
         # Measured 3.6 tables: the parsed records (1.2 tables) and their
         # chunks while they are joined, then the records, the table and
-        # the sort order.  The column-wise parse's cells took 15.9.
+        # the sort order.  A parse of every file as text took 15.9.
         assert peak_tables(summary_256) <= 4.5
+
+    def test_crlf_within_a_few_tables(self, crlf_copy):
+        # Measured 5.2 tables: the decoded text and its lines, and the
+        # parsed values.  A column-wise parse, whose cells are one str
+        # each, measured 13.7.
+        assert peak_tables(crlf_copy) <= 6
 
     def test_late_decline_within_a_few_tables(self, late_decline):
         # The rows before the declined chunk stay parsed; a second parse of
@@ -867,6 +972,27 @@ class TestExitCodes:
         assert code == 2
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".cpci-tmp-")]
         assert leftovers == []
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 58.2 TiB for an array with shape "
+                     "(1000000000000, 64) and data type float64"),
+         "Unable to allocate 58.2 TiB for an array with shape "
+         "(1000000000000, 64) and data type float64"),
+        (MemoryError(), "MemoryError"),
+    ], ids=["numpy", "bare"])
+    def test_memory_error_is_input_error(self, tmp_path, monkeypatch, error, message):
+        # An input that asks for more memory than there is fails like any
+        # other bad input, and leaves no output behind.
+        def sample_ensemble(model, size, seed):
+            raise error
+
+        monkeypatch.setattr(cli, "sample_ensemble", sample_ensemble)
+        out = tmp_path / "samples"
+        code, stdout, err = run_cli(
+            "synth", "sample", "--input", str(DATA / "golden_model.mmf"),
+            "--output", str(out), "--sizes", "1000000000000")
+        assert (code, stdout, err) == (2, "", f"cpci: error: {message}\n")
+        assert os.listdir(out) == []
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_outputs_get_the_umask_mode(self, tmp_path, umask):

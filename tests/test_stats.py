@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from cpci import stats
 from cpci.stats import (
     ConfidenceLevel,
     CoverageReport,
@@ -381,6 +384,34 @@ class TestCoverageExperiment:
         assert report.hits == hits
         assert report.empirical_coverage == pytest.approx(hits / reps, abs=0)
         assert report.mean_width == pytest.approx(width_total / reps, rel=1e-12)
+
+    @pytest.mark.parametrize("p, m", [(0.05, 9), (0.5, 49), (0.3, 1000)])
+    def test_chunked_draw_equals_one_whole_draw(self, p, m):
+        # 1000 draws in chunks of 7 end in a short chunk.
+        reps, seed = 1000, 11
+        with mock.patch.object(stats, "_DRAW_CHUNK", 7):
+            report = coverage_experiment(p, m, reps=reps, seed=seed)
+        draws = np.random.default_rng(seed).binomial(m, p, size=reps)
+        hits, width_total = 0, 0.0
+        for c, frequency in enumerate(np.bincount(draws, minlength=m + 1).tolist()):
+            if frequency:
+                est = jeffreys_interval(c, m)
+                hits += frequency * (est.p_lower <= p <= est.p_upper)
+                width_total += frequency * est.width
+        assert report.hits == hits
+        assert report.mean_width == width_total / reps
+
+    def test_memory_does_not_grow_with_reps(self):
+        # Four chunks of draws measured 8.7 MiB, about one chunk of int64
+        # counts; one whole draw of them would take 32 MiB.
+        reps = 4 * stats._DRAW_CHUNK
+        tracemalloc.start()
+        try:
+            coverage_experiment(0.3, 49, reps=reps, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * stats._DRAW_CHUNK
 
     def test_reports_inputs(self):
         report = coverage_experiment(0.25, 12, ConfidenceLevel(0.99), reps=100, seed=3)
