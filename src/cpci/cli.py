@@ -7,7 +7,10 @@ finish, so failures never leave partial output.  Binary writers write
 into the sink's handle; text writers hand it a sequence of `str` pieces,
 encoded one at a time, so no output is held whole as text or bytes.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
-Numbers in CSV output carry 9 significant digits with LF line endings.
+Numbers in CSV output carry 9 significant digits with LF line endings,
+except the summary's metadata gamma: it is written as the shortest text
+that reads back to the same double, so a level that rounds to 1 at 9
+digits still reads back as a level in (0, 1).
 """
 
 from __future__ import annotations
@@ -142,7 +145,7 @@ def _summary_csv(
     """Summary CSV pieces of a (3, 3, n) table; `collapse` writes hat as lo and hi."""
     if collapse:
         table = table[:, [0, 0, 0]]
-    return _vertex_csv(f"# m={m} gamma={_fmt9(gamma)}\n{_SUMMARY_HEADER}\n",
+    return _vertex_csv(f"# m={m} gamma={float(gamma)!r}\n{_SUMMARY_HEADER}\n",
                        table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
 
 

@@ -51,8 +51,6 @@ __all__ = [
 # these six, neighbors share a triangulation edge with (i, j).
 _LINK_OFFSETS = ((1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1))
 
-_ROW_HASH = np.uint64(0x9E3779B97F4A7C15)   # odd; its powers weigh the columns
-
 
 class ParseError(ValueError):
     """Malformed EGF/MMF input; carries the 1-based offending line number."""
@@ -414,36 +412,21 @@ def write_blocks(sink: IO[bytes], magic: str, topology: GridTopology, count: int
 def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Key the rows of an (n, k) array by their exact bits.
 
-    Returns (distinct, inverse): one row per key (rarely more, see
-    below), in the order in which the keys first occur, and each row's
-    index into `distinct`, so
+    Returns (distinct, inverse): exactly one row per key, in the order in
+    which the keys first occur, and each row's index into `distinct`, so
     `distinct[inverse]` equals `rows` bit for bit.  Rows are compared as
     raw bits: -0.0 and 0.0 are different keys, and so are NaNs with
     different payloads.
     """
     rows = np.ascontiguousarray(rows)
-    bits = rows.view(f"u{rows.itemsize}")
-    # Sorting by a 64-bit hash of each row puts equal rows next to each
-    # other, faster than np.unique sorts one void key per row.  Only
-    # neighbours with equal hashes need their bits compared.
-    # Two different rows with the same hash may interleave; a key then gets
-    # two entries in `distinct`, which costs a repeated format downstream
-    # but never a wrong row.
-    weights = _ROW_HASH ** np.arange(1, bits.shape[1] + 1, dtype=np.uint64)
-    hashes = (bits * weights).sum(axis=1, dtype=np.uint64)
-    order = hashes.argsort(kind="stable")
-    starts = np.ones(len(rows), dtype=bool)
-    np.not_equal(hashes[order[1:]], hashes[order[:-1]], out=starts[1:])
-    tied = np.flatnonzero(~starts[1:])
-    starts[tied + 1] = (bits[order[tied + 1]] != bits[order[tied]]).any(axis=1)
-    # The stable sort starts each run at its first row; number keys in that order.
-    first = order[starts]
+    # One void key per row compares as the row's raw bytes.
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    # np.unique numbers keys in byte order; renumber them by first occurrence.
     by_first = first.argsort()
-    key = np.empty(len(first), dtype=np.intp)
-    key[by_first] = np.arange(len(first))
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = key[np.cumsum(starts) - 1]
-    return rows[first[by_first]], inverse
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[by_first] = np.arange(len(first))
+    return rows[first[by_first]], rank[inverse]
 
 
 def _member_name(k: int, m: int) -> str:

@@ -87,15 +87,6 @@ def _point(r: float, deg: float) -> tuple[float, float]:
     return r * math.cos(rad), -r * math.sin(rad)
 
 
-def _sector_path(r: float, start_deg: float, end_deg: float) -> str:
-    x1, y1 = _point(r, start_deg)
-    x2, y2 = _point(r, end_deg)
-    return (
-        f"M 0 0 L {_fmt(x1)} {_fmt(y1)} "
-        f"A {_fmt(r)} {_fmt(r)} 0 0 0 {_fmt(x2)} {_fmt(y2)} Z"
-    )
-
-
 def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
     x1, y1 = _point(r, start_deg)
     x2, y2 = _point(r, end_deg)
@@ -103,6 +94,11 @@ def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
         f"M {_fmt(x1)} {_fmt(y1)} "
         f"A {_fmt(r)} {_fmt(r)} 0 0 0 {_fmt(x2)} {_fmt(y2)}"
     )
+
+
+def _sector_path(r: float, start_deg: float, end_deg: float) -> str:
+    # The arc closed through the centre: a filled sector
+    return f"M 0 0 L {_arc_path(r, start_deg, end_deg)[2:]} Z"
 
 
 def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:

@@ -150,6 +150,21 @@ class TestEstimate:
         assert code == 0
         assert out.read_text().splitlines()[0] == "# m=4 gamma=0.9"
 
+    def test_gamma_near_one_reads_back(self, tmp_path, topo33):
+        # At 9 digits this level rounds to 1, which is not a confidence level.
+        egf = tmp_path / "in.egf"
+        out = tmp_path / "out.csv"
+        write_egf(egf, topo33, random_members(topo33, 4, seed=1))
+        code, _, _ = run_cli(
+            "estimate", "--input", str(egf), "--output", str(out),
+            "--gamma", "0.9999999999")
+        assert code == 0
+        assert out.read_text().splitlines()[0] == "# m=4 gamma=0.9999999999"
+        assert _read_summary_csv(str(out))[3] == 0.9999999999
+        code, stdout, err = run_cli("query", "--input", str(out), "1", "1")
+        assert (code, err) == (0, "")
+        assert stdout.splitlines()[0] == "vertex (1, 1)  m=4  gamma=1"
+
     @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
     def test_single_row_or_column_is_input_error(self, tmp_path, nx, ny):
         egf = tmp_path / "in.egf"
@@ -871,6 +886,18 @@ class TestSynth:
             "render", "--input", str(csvs[0]), "--output", str(tmp_path / "gt.svg"),
             "--ground-truth")
         assert code == 0
+
+    def test_truth_gamma_near_one_renders(self, tmp_path, model_file):
+        out = tmp_path / "truth.csv"
+        code, _, _ = run_cli(
+            "synth", "truth", "--input", str(model_file), "--output", str(out),
+            "--draws", "300", "--collapse", "--gamma", "0.9999999999")
+        assert code == 0
+        assert out.read_text().splitlines()[0] == "# m=300 gamma=0.9999999999"
+        code, _, err = run_cli(
+            "render", "--input", str(out), "--output", str(tmp_path / "gt.svg"),
+            "--ground-truth")
+        assert (code, err) == (0, "")
 
     def test_truth_without_collapse_keeps_intervals(self, tmp_path, model_file):
         out = tmp_path / "truth.csv"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpci import grid, render
+from cpci import render
 from cpci.cli import _SUMMARY_HEADER, _read_summary_csv, _summary_csv, _write_text
 from cpci.critical import count_types
 from cpci.grid import Ensemble, GridTopology, distinct_rows
@@ -130,13 +130,15 @@ class TestDistinctRows:
         assert distinct.tolist() == [[5, 1], [2, 2], [0, 9]]
         assert inverse.tolist() == [0, 1, 0, 2, 1]
 
-    def test_hash_collisions_cost_only_repeats(self, monkeypatch):
-        # With every hash equal, rows keep their order and only runs of
-        # equal neighbours share a key.
-        monkeypatch.setattr(grid, "_ROW_HASH", np.uint64(0))
-        rows = np.array([[1.0, 0.0], [1.0, 0.0], [-0.0, 0.0], [1.0, 0.0]])
+    def test_keys_exact_under_hash_collision(self):
+        # A and B collide under the multiply-sum row hash sum_k row[k] * w**(k + 1)
+        # (mod 2**64, w = 0x9E3779B97F4A7C15); each key still gets one entry.
+        w = [pow(0x9E3779B97F4A7C15, k, 1 << 64) for k in (1, 2)]
+        a, b = [0, 0], [w[1], (1 << 64) - w[0]]
+        rows = np.array([a, b, a], dtype=np.uint64).view(np.int64)
         distinct, inverse = distinct_rows(rows)
-        assert inverse.tolist() == [0, 0, 1, 2]
+        assert len(distinct) == 2
+        assert inverse.tolist() == [0, 1, 0]
         assert distinct[inverse].tobytes() == rows.tobytes()
         table = np.random.default_rng(3).choice([0.0, -0.0, 0.5], size=(3, 3, 12))
         assert_writers_match(table, GridTopology(4, 3))
