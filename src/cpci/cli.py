@@ -8,9 +8,10 @@ into the sink's handle; text writers hand it a sequence of `str` pieces,
 encoded one at a time, so no output is held whole as text or bytes.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
 Numbers in CSV output carry 9 significant digits with LF line endings,
-except the summary's metadata gamma: it is written as the shortest text
-that reads back to the same double, so a level that rounds to 1 at 9
-digits still reads back as a level in (0, 1).
+except the confidence level gamma: the summary's metadata, the coverage
+CSV and `query` write it as the shortest text that reads back to the
+same double, so a level that rounds to 1 at 9 digits still reads back as
+a level in (0, 1).
 """
 
 from __future__ import annotations
@@ -374,7 +375,7 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise ValueError(
             f"vertex out of range: i must be in [0, {topology.nx - 1}] "
             f"and j in [0, {topology.ny - 1}], got ({i}, {j})")
-    print(f"vertex ({i}, {j})  m={m}  gamma={_fmt9(gamma)}")
+    print(f"vertex ({i}, {j})  m={m}  gamma={float(gamma)!r}")
     for code, triple in zip(("min", "max", "sad"),
                             table[:, :, topology.linear(i, j)].tolist()):
         print("%s  p_hat=%.9g  p_lower=%.9g  p_upper=%.9g" % (code, *triple))
@@ -446,7 +447,7 @@ def cmd_coverage(args: argparse.Namespace) -> int:
     for seed, (p, m) in enumerate(itertools.product(p_values, m_values), args.seed):
         report = coverage_experiment(p, m, level, reps=args.reps, seed=seed % _SEED_MAX)
         lines.append(
-            f"{_fmt9(report.p_true)},{report.m},{_fmt9(report.gamma)},"
+            f"{_fmt9(report.p_true)},{report.m},{float(report.gamma)!r},"
             f"{report.reps},{_fmt9(report.empirical_coverage)},"
             f"{_fmt9(report.mean_width)}\n")
     _write_text(args.output, lines)

@@ -9,18 +9,19 @@ maximal runs means a saddle.
 
 The vectorised kernel never forms the link of a vertex.  Under the fixed
 Freudenthal diagonal, the neighbor in link direction (di, dj) has linear
-index `center + d` with `d = di + dj*nx`, so the index tie-break depends
-only on the direction: the neighbor wins value ties exactly when d > 0,
-which holds for the first three of `grid._LINK_OFFSETS` and fails for
-the last three.  "Neighbor higher" is therefore `nb >= c` in the first
-three directions and `nb > c` in the other three: one comparison per
-direction of the (m, n) values against themselves shifted by d.  The six
-results pack into a 6-bit code, and a 64x64 table indexed by (in-grid
-directions, higher directions) gives the type.  The table is built once
-at import from the same run-count rule as `classify_vertex`, applied to
-the links `build_link` gives the nine vertices of a 3x3 grid.  It ignores
-the bits of out-of-grid directions, which is where a shift that wraps
-across a row end lands.
+index `center + d` with `d = di + dj*nx`, and direction k + 3 of
+`grid._LINK_OFFSETS` is the opposite of direction k.  The first three
+directions have d > 0, so they name every grid edge once, from its end
+with the smaller index.  One rule breaks every tie: the end with the
+larger index wins.  So `values[:, d:] >= values[:, :n - d]`, one
+comparison per edge direction of the (m, n) values against themselves
+shifted by d, is bit k ("neighbor higher") at v, and its negation is bit
+k + 3 at v + d.  The six bits pack into a 6-bit code, and a 64x64 table
+indexed by (in-grid directions, higher directions) gives the type.  The
+table is built once at import from the same run-count rule as
+`classify_vertex`, applied to the links `build_link` gives the nine
+vertices of a 3x3 grid.  It ignores the bits of out-of-grid directions,
+which is where a shift that wraps across a row end lands.
 """
 
 from __future__ import annotations
@@ -149,22 +150,25 @@ def _classify_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:
     nx, ny, n = topology.nx, topology.ny, topology.n
     bits = np.zeros(values.shape, dtype=np.uint8)
     valid = np.zeros((ny, nx), dtype=np.uint8)
-    for k, (di, dj) in enumerate(_LINK_OFFSETS):
+    for k, (di, dj) in enumerate(_LINK_OFFSETS[:3]):
         d = di + dj * nx
-        # The neighbor wins value ties exactly when its linear index is larger.
-        if d > 0:
-            bits[:, :n - d] |= (values[:, d:] >= values[:, :n - d]).view(np.uint8) << k
-        else:
-            bits[:, -d:] |= (values[:, :n + d] > values[:, -d:]).view(np.uint8) << k
-        valid[max(0, -dj):ny - max(0, dj), max(0, -di):nx - max(0, di)] |= 1 << k
+        higher = (values[:, d:] >= values[:, :n - d]).view(np.uint8)
+        bits[:, :n - d] |= higher << k
+        bits[:, d:] |= (higher ^ 1) << k + 3
+        valid[:ny - dj, :nx - di] |= 1 << k
+        valid[dj:, di:] |= 1 << k + 3
+    # Freed before the table index, the kernel's largest array, is built.
+    del higher
     return _TYPE_TABLE.ravel().take((valid.reshape(n).astype(np.intp) << 6) + bits)
 
 
 def _member_chunk(n: int) -> int:
-    # About 10^6 member-vertices per chunk.  Each holds ~13 bytes of kernel
-    # and tally workspace (uint8 code, bool comparison and its uint8 shift,
-    # intp table index, int8 type, bool tally mask), plus the float64 values
-    # when ground truth draws the chunk or an EGF stream parses it: ~30 MB.
+    # About 10^6 member-vertices per chunk.  Each holds at most ~10 bytes of
+    # kernel and tally workspace at once: the uint8 code, intp table index
+    # and int8 type (the comparison and its shifted copies are freed before
+    # the index is built), later the int8 type and a bool tally mask.  Add
+    # the float64 values when ground truth draws the chunk or an EGF stream
+    # parses it: ~30 MB.
     # The stream allocates a chunk only after the tally has the previous
     # one, so it holds at most two chunks of values, whatever m is.  The
     # sampler's (k, B) uniform and normal buffers add 16 B bytes per member,

@@ -272,6 +272,11 @@ def _jeffreys_bounds(c: int, m: int, gamma: float) -> tuple[float, float]:
     return lower, upper
 
 
+def _bounds(counts, m: int, gamma: float) -> np.ndarray:
+    """(k, 2) Jeffreys (lower, upper) bounds of k counts out of m."""
+    return np.reshape([_jeffreys_bounds(c, int(m), gamma) for c in counts.tolist()], (-1, 2))
+
+
 def jeffreys_interval(
     c: int, m: int, level: ConfidenceLevel = DEFAULT_LEVEL
 ) -> IntervalEstimate:
@@ -317,8 +322,7 @@ def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndar
         raise ValueError(
             f"type counts {counts[:, v].tolist()} at vertex {v} exceed ensemble size {m}")
     distinct, inverse = np.unique(counts, return_inverse=True)
-    bounds = np.array(
-        [_jeffreys_bounds(c, int(m), level.gamma) for c in distinct.tolist()]).reshape(-1, 2)
+    bounds = _bounds(distinct, m, level.gamma)
     table = np.empty((3, 3, counts.shape[1]))
     table[:, 0] = counts / m
     table[:, 1:] = np.moveaxis(bounds[inverse.reshape(counts.shape)], -1, 1)
@@ -349,15 +353,11 @@ def coverage_experiment(
     for start in range(0, reps, _DRAW_CHUNK):
         size = min(_DRAW_CHUNK, reps - start)
         frequencies += np.bincount(rng.binomial(m, p_true, size=size), minlength=m + 1)
-    hits = 0
-    width_total = 0.0
-    for c, frequency in enumerate(frequencies):
-        if frequency == 0:
-            continue
-        est = jeffreys_interval(int(c), m, level)
-        if est.p_lower <= p_true <= est.p_upper:
-            hits += int(frequency)
-        width_total += int(frequency) * est.width
+    counts = np.flatnonzero(frequencies)
+    lower, upper = _bounds(counts, m, level.gamma).T
+    hits = int(frequencies[counts][(lower <= p_true) & (p_true <= upper)].sum())
+    # A plain sum in count order: numpy's pairwise sum could move the last bit.
+    width_total = sum((frequencies[counts] * (upper - lower)).tolist(), 0.0)
     return CoverageReport(
         p_true=p_true,
         m=m,

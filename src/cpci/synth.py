@@ -122,7 +122,11 @@ def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.nd
     # addition is commutative, so the sums are the same.
     out = z[:, :r] @ model.factor.T
     out += model.mean
-    return out[:stop - start]
+    out = out[:stop - start]
+    # The `Ensemble` test: min and max propagate NaN and +-inf.
+    if not (np.isfinite(out.min()) and np.isfinite(out.max())):
+        raise ValueError("the moment model's draws overflow float64")
+    return out
 
 
 def sample_ensemble(model: MomentModel, m_out: int, seed: int = 0) -> Ensemble:
@@ -145,7 +149,8 @@ def ground_truth_probabilities(
     into the (3, 3, n) table of `stats.summarize`;
     interval widths shrink like 1/sqrt(n_draws), collapsing toward the
     model's true type probabilities.  Members are generated in chunks,
-    so memory stays bounded for large n_draws.
+    so memory stays bounded for large n_draws.  A model whose draws
+    overflow float64 is a ValueError, as in `sample_ensemble`.
     """
     seed = _check_seed(seed)
     if n_draws < 1:

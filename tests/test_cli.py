@@ -20,7 +20,7 @@ from cpci.cli import _read_summary_csv
 from cpci.critical import TYPE_CODES, CriticalType, classify_field, count_types
 from cpci.grid import GridTopology, load_ensemble
 from cpci.stats import ConfidenceLevel, coverage_experiment
-from cpci.synth import estimate_moments, sample_ensemble
+from cpci.synth import MomentModel, estimate_moments, sample_ensemble, save_moment_model
 
 from conftest import grid_field, run_cli, write_egf
 
@@ -151,7 +151,8 @@ class TestEstimate:
         assert out.read_text().splitlines()[0] == "# m=4 gamma=0.9"
 
     def test_gamma_near_one_reads_back(self, tmp_path, topo33):
-        # At 9 digits this level rounds to 1, which is not a confidence level.
+        # At 9 digits this level rounds to 1, which is not a confidence level;
+        # the summary metadata, `query` and the coverage CSV all keep it.
         egf = tmp_path / "in.egf"
         out = tmp_path / "out.csv"
         write_egf(egf, topo33, random_members(topo33, 4, seed=1))
@@ -163,7 +164,13 @@ class TestEstimate:
         assert _read_summary_csv(str(out))[3] == 0.9999999999
         code, stdout, err = run_cli("query", "--input", str(out), "1", "1")
         assert (code, err) == (0, "")
-        assert stdout.splitlines()[0] == "vertex (1, 1)  m=4  gamma=1"
+        assert stdout.splitlines()[0] == "vertex (1, 1)  m=4  gamma=0.9999999999"
+        cov = tmp_path / "cov.csv"
+        code, _, err = run_cli(
+            "coverage", "--p", "0.3", "--m", "20", "--gamma", "0.9999999999",
+            "--reps", "1000", "--output", str(cov))
+        assert (code, err) == (0, "")
+        assert cov.read_text().splitlines()[1] == "0.3,20,0.9999999999,1000,1,0.885726388"
 
     @pytest.mark.parametrize("nx, ny", [(1, 5), (5, 1)])
     def test_single_row_or_column_is_input_error(self, tmp_path, nx, ny):
@@ -898,6 +905,20 @@ class TestSynth:
             "render", "--input", str(out), "--output", str(tmp_path / "gt.svg"),
             "--ground-truth")
         assert (code, err) == (0, "")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_truth_rejects_draws_that_overflow(self, tmp_path):
+        # Every stored value is finite, but sums of +-1e308 terms are not.
+        topology = GridTopology(3, 3)
+        factor = np.tile([1e308, -1e308], (topology.n, 1))
+        mmf = tmp_path / "model.mmf"
+        with open(mmf, "wb") as sink:
+            save_moment_model(MomentModel(topology, np.zeros(topology.n), factor), sink)
+        out = tmp_path / "truth.csv"
+        code, _, err = run_cli(
+            "synth", "truth", "--input", str(mmf), "--output", str(out), "--draws", "1000")
+        assert code == 2 and "overflow float64" in err
+        assert not out.exists()
 
     def test_truth_without_collapse_keeps_intervals(self, tmp_path, model_file):
         out = tmp_path / "truth.csv"

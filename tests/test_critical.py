@@ -1,9 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cpci.critical import (
+    _TYPE_TABLE,
     CriticalType,
     _classify_codes,
     classify_field,
@@ -11,7 +16,7 @@ from cpci.critical import (
     compare_vertices,
     count_types,
 )
-from cpci.grid import Ensemble, GridTopology, build_link
+from cpci.grid import _LINK_OFFSETS, Ensemble, GridTopology, build_link
 
 from conftest import grid_field
 
@@ -232,6 +237,33 @@ def kernel_fields(kind: str, m: int, n: int) -> np.ndarray:
     return values
 
 
+def six_comparison_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:
+    """The kernel before one comparison per edge: every link direction is
+    compared from its own end, `nb >= c` where the neighbor has the larger
+    linear index and `nb > c` where it has the smaller, so each grid edge
+    is compared twice."""
+    nx, ny, n = topology.nx, topology.ny, topology.n
+    bits = np.zeros(values.shape, dtype=np.uint8)
+    valid = np.zeros((ny, nx), dtype=np.uint8)
+    for k, (di, dj) in enumerate(_LINK_OFFSETS):
+        d = di + dj * nx
+        if d > 0:
+            bits[:, :n - d] |= (values[:, d:] >= values[:, :n - d]).view(np.uint8) << k
+        else:
+            bits[:, -d:] |= (values[:, :n + d] > values[:, -d:]).view(np.uint8) << k
+        valid[max(0, -dj):ny - max(0, dj), max(0, -di):nx - max(0, di)] |= 1 << k
+    return _TYPE_TABLE.ravel().take((valid.reshape(n).astype(np.intp) << 6) + bits)
+
+
+@st.composite
+def tied_blocks(draw):
+    """(values, topology): 1-5 members of a 2x2 to 9x9 grid, values in {0, 1}."""
+    topology = GridTopology(draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    m = draw(st.integers(1, 5))
+    values = draw(arrays(np.float64, (m, topology.n), elements=st.sampled_from([0.0, 1.0])))
+    return values, topology
+
+
 class TestClassifyCodes:
     @pytest.mark.parametrize("nx, ny", [(2, 2), (2, 5), (5, 2), (7, 3), (16, 16)])
     @pytest.mark.parametrize(
@@ -263,6 +295,28 @@ class TestClassifyCodes:
                 codes = _classify_codes(values, topo33)[:, topo33.linear(i, j)]
                 expected = [oracle_classify(signs, link.closed) for signs in patterns]
                 assert codes.tolist() == expected, (i, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_blocks())
+    def test_matches_six_comparison_kernel_on_tied_fields(self, block):
+        # Nearly every edge is a tie, so the index tie-break decides most bits.
+        values, topology = block
+        assert np.array_equal(
+            _classify_codes(values, topology), six_comparison_codes(values, topology))
+
+    def test_peak_workspace_per_member_vertex(self):
+        # The intp table index (8 bytes), the uint8 code and the int8 types
+        # are live together; a comparison kept alive past the loop adds one.
+        t = GridTopology(128, 128)
+        values = np.round(np.random.default_rng(61).normal(size=(61, t.n)) * 4) / 4
+        _classify_codes(values[:1], t)
+        tracemalloc.start()
+        try:
+            _classify_codes(values, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10.5 * values.size, peak / values.size
 
 
 # --- count_types --------------------------------------------------------

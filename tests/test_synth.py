@@ -303,6 +303,17 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             ground_truth_probabilities(_random_model(), 0, seed=1)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_draws_that_overflow_rejected(self):
+        # Finite factor columns whose sums are not: the draws hold +-inf and
+        # NaN, which the classification kernel must never see.
+        t = GridTopology(3, 3)
+        model = MomentModel(t, np.zeros(t.n), np.tile([1e308, -1e308], (t.n, 1)))
+        with pytest.raises(ValueError, match="overflow float64"):
+            ground_truth_probabilities(model, 1000, seed=0)
+        with pytest.raises(ValueError, match="overflow float64"):
+            sample_ensemble(model, 1000, seed=0)
+
 
 # --- model persistence ---------------------------------------------------------
 
