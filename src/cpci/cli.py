@@ -35,7 +35,7 @@ from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
-    GridTopology, _line_chunks, _parse_chunk, distinct_rows, load_ensemble, save_ensemble,
+    GridTopology, _line_chunks, _parse_chunk, keyed_text, load_ensemble, save_ensemble,
     stream_ensemble,
 )
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
@@ -120,20 +120,19 @@ def _load_model_path(path: str):
 def _vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> list[str]:
     """CSV pieces: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
 
-    `tail % row` is formatted once per distinct row (`grid.distinct_rows`)
+    `tail % row` is formatted once per distinct row (`grid.keyed_text`)
     and shared by every vertex whose row has the same bits; the `i,` and
     `j` pieces are formatted once per column and row of the grid.
     """
-    distinct, inverse = distinct_rows(rows)
-    # A structured view makes tolist() yield the tuples `%` takes.
-    fields = distinct.view([("", distinct.dtype)] * distinct.shape[1]).ravel()
-    tails = [tail % row for row in fields.tolist()]
-    ny = len(rows) // nx
-    pieces = [header] + [None] * (3 * len(rows))
-    pieces[1::3] = [f"{i}," for i in range(nx)] * ny
-    pieces[2::3] = [str(j) for j in range(ny) for _ in range(nx)]
-    pieces[3::3] = np.array(tails, dtype=object)[inverse].tolist()
-    return pieces
+    def tails(distinct: np.ndarray) -> list[str]:
+        # A structured view makes tolist() yield the tuples `%` takes.
+        fields = distinct.view([("", distinct.dtype)] * distinct.shape[1]).ravel()
+        return [tail % row for row in fields.tolist()]
+    # The `i,` and `j` pieces are made after the rows are keyed, the writer's memory peak.
+    texts = keyed_text(rows, tails)
+    i_pieces = itertools.cycle([f"{i}," for i in range(nx)])
+    j_pieces = [j for j in map(str, range(len(rows) // nx)) for _ in range(nx)]
+    return [header, *itertools.chain.from_iterable(zip(i_pieces, j_pieces, texts))]
 
 
 def _summary_csv(

@@ -11,14 +11,15 @@ line, an `nx ny count` header, then blocks of ny rows of nx reals.
 iterated, in chunks of whole lines into arrays of a given number of
 blocks: numpy's C text reader parses a chunk of plain numeric rows in
 one step (`_parse_chunk`), and any other chunk goes line by line, the
-parse that defines the format.  `read_blocks` reads the whole body into
-one array.  Other text tables, such as the summary CSV, read their rows
-in the same chunks (`_line_chunks`) through the same fast path, with
-their own byte alphabet, delimiter and record dtype, and parse any chunk
-it declines by their own rules.  `write_blocks` writes the layout one
-block at a time.  The EGF callers are `load_ensemble`, `stream_ensemble`
-(a few members at a time) and `save_ensemble`; `cpci.synth` holds the
-MMF ones.
+parse that defines the format.  Other text tables, such as the summary
+CSV, read their rows in the same chunks (`_line_chunks`) through the
+same fast path, with their own byte alphabet, delimiter and record
+dtype, and parse any chunk it declines by their own rules.
+`write_blocks` writes the layout one block at a time.  The EGF callers
+are `load_ensemble` (the whole body as one array), `stream_ensemble` (a
+few members at a time) and `save_ensemble`; `cpci.synth` holds the MMF
+ones.  The CSV and SVG writers format per-vertex rows through
+`keyed_text`, once per distinct row.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ __all__ = [
     "load_ensemble",
     "stream_ensemble",
     "save_ensemble",
-    "read_blocks",
     "stream_blocks",
     "write_blocks",
-    "distinct_rows",
+    "keyed_text",
 ]
 
 # Edge-connected offsets in counterclockwise cyclic order, starting at
@@ -382,21 +382,9 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
     return topology, count, body()
 
 
-def read_blocks(source: IO[bytes], magic: str, header: str,
-                block_name: Callable[[int, int], str],
-                extra: int = 0) -> tuple[GridTopology, np.ndarray]:
-    """Parse a text grid stream into its topology and one (blocks, n) array.
-
-    The layout, errors and parse are `stream_blocks`'s, read to the end.
-    """
-    topology, _, blocks = stream_blocks(source, magic, header, block_name, extra)
-    values, = blocks
-    return topology, values
-
-
 def write_blocks(sink: IO[bytes], magic: str, topology: GridTopology, count: int,
                  blocks: Iterable[np.ndarray]) -> None:
-    """Write the layout `read_blocks` parses, one block at a time.
+    """Write the layout `stream_blocks` parses, one block at a time.
 
     Values carry 17 significant digits, so they roundtrip exactly.
     """
@@ -409,24 +397,25 @@ def write_blocks(sink: IO[bytes], magic: str, topology: GridTopology, count: int
         sink.write((text + "\n").encode("utf-8"))
 
 
-def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Key the rows of an (n, k) array by their exact bits.
+def keyed_text(rows: np.ndarray, format_rows: Callable[[np.ndarray], list[str]]) -> list[str]:
+    """The text of each row of an (n, k) array, formatted once per distinct row.
 
-    Returns (distinct, inverse): exactly one row per key, in the order in
-    which the keys first occur, and each row's index into `distinct`, so
-    `distinct[inverse]` equals `rows` bit for bit.  Rows are compared as
-    raw bits: -0.0 and 0.0 are different keys, and so are NaNs with
-    different payloads.
+    Rows are keyed by their raw bytes: -0.0 and 0.0 are different keys,
+    and so are NaNs with different payloads.  `format_rows` is called
+    once, on the (d, k) distinct rows in key order, and returns their d
+    strings; row i gets the string of its key, so rows with equal keys
+    share one `str` object.
     """
-    rows = np.ascontiguousarray(rows)
     # One void key per row compares as the row's raw bytes.
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    # np.unique numbers keys in byte order; renumber them by first occurrence.
-    by_first = first.argsort()
-    rank = np.empty(len(first), dtype=np.intp)
-    rank[by_first] = np.arange(len(first))
-    return rows[first[by_first]], rank[inverse]
+    keys = np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    # The row copy is freed before the strings are made: kept alive, it left
+    # `render` on a 256x256 summary about 7 MB higher in peak RSS, at the
+    # same tracemalloc peak.
+    del keys
+    texts = format_rows(distinct.view(rows.dtype).reshape(len(distinct), -1))
+    return np.array(texts, dtype=object)[inverse].tolist()
 
 
 def _member_name(k: int, m: int) -> str:
@@ -435,7 +424,8 @@ def _member_name(k: int, m: int) -> str:
 
 def load_ensemble(source: IO[bytes]) -> Ensemble:
     """Parse an EGF byte stream: magic `EGF1`, header `nx ny m`, m member blocks."""
-    return Ensemble(*read_blocks(source, "EGF1", "nx ny m", _member_name))
+    topology, _, (values,) = stream_blocks(source, "EGF1", "nx ny m", _member_name)
+    return Ensemble(topology, values)
 
 
 def stream_ensemble(source: IO[bytes], batch: Callable[[int], int],

@@ -11,7 +11,7 @@ Zero probabilities emit no geometry.
 `render_map_pieces` reads the (3, 3, n) table of `stats.summarize`,
 indexed [type (min, max, sad), stat (hat, lo, hi), vertex].  A glyph
 depends only on its vertex's nine values, so vertices are keyed by the
-exact bits of those values (`grid.distinct_rows`) and each distinct
+exact bits of those values (`grid.keyed_text`) and each distinct
 glyph body is formatted once; within it, a path depends only on its
 sector, its role and one probability, so each distinct probability's
 path is formatted once too.  The document is the list of the header,
@@ -22,12 +22,13 @@ SVG text is never held; `render_map` is their `"".join`.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridTopology, distinct_rows
+from .grid import GridTopology, keyed_text
 
 __all__ = [
     "GlyphStyle",
@@ -105,7 +106,7 @@ def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:
     """Per sector, in paint order (light, dark, arc): the path of every
     column of the (3, 3, k) `table`, "" where the probability is 0.
     Nine lists of k strings; `render_map` passes one column per distinct
-    glyph."""
+    glyph, and each distinct probability's path is formatted once."""
     arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(_ARC_STROKE)}"'
     pieces = []
     for code, start, end in SECTORS:
@@ -113,11 +114,12 @@ def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:
         for stat, shape, paint in ((2, _sector_path, f'fill="{light}"'),
                                    (1, _sector_path, f'fill="{dark}"'),
                                    (0, _arc_path, arc_paint)):
-            distinct, inverse = np.unique(table[_TABLE_ROWS[code], stat], return_inverse=True)
-            radii = [glyph_radius(p, style.r_max) for p in distinct.tolist()]
-            strings = [f'<path d="{shape(r, start, end)}" {paint}/>' if r > 0 else ""
-                       for r in radii]
-            pieces.append([strings[k] for k in inverse.tolist()])
+            # Called at once by `keyed_text`, so it sees this iteration's values.
+            def paths(probs: np.ndarray) -> list[str]:
+                radii = [glyph_radius(p, style.r_max) for p in probs.ravel().tolist()]
+                return [f'<path d="{shape(r, start, end)}" {paint}/>' if r > 0 else ""
+                        for r in radii]
+            pieces.append(keyed_text(table[_TABLE_ROWS[code], stat, :, None], paths))
     return pieces
 
 
@@ -198,13 +200,14 @@ def render_map_pieces(
     )
     xs = [_fmt(_MARGIN + i * style.cell) for i in range(nx)]
     ys = [_fmt(_MARGIN + (ny - 1 - j) * style.cell) for j in range(ny)]
-    distinct, inverse = distinct_rows(table.reshape(9, n).T)
-    bodies = ("\n".join(filter(None, paths))
-              for paths in zip(*_sector_paths(distinct.T.reshape(3, 3, -1), style)))
-    closes = [f"\n{body}\n</g>\n" if body else "</g>\n" for body in bodies]
+
+    def glyph_rests(distinct: np.ndarray) -> list[str]:
+        bodies = ("\n".join(filter(None, paths))
+                  for paths in zip(*_sector_paths(distinct.T.reshape(3, 3, -1), style)))
+        return [f"\n{body}\n</g>\n" if body else "</g>\n" for body in bodies]
     # Per vertex: its own opening tag, then the shared rest of its glyph.
-    glyphs = [None] * (2 * n)
-    glyphs[0::2] = [f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
-                    for j in range(ny) for i in range(nx)]
-    glyphs[1::2] = np.array(closes, dtype=object)[inverse].tolist()
-    return [header, *glyphs, legend, "\n</svg>\n"]
+    # The tags are made after the rows are keyed, the writer's memory peak.
+    rests = keyed_text(table.reshape(9, n).T, glyph_rests)
+    opens = [f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
+             for j in range(ny) for i in range(nx)]
+    return [header, *itertools.chain.from_iterable(zip(opens, rests)), legend, "\n</svg>\n"]

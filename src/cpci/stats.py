@@ -121,6 +121,11 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
+def _check_level(level) -> None:
+    if not isinstance(level, ConfidenceLevel):
+        raise ValueError(f"level must be a ConfidenceLevel, got {level!r}")
+
+
 def _log_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
@@ -288,8 +293,7 @@ def jeffreys_interval(
     evaluation entirely), avoiding the ill-behaved boundary intervals.
     """
     p_hat = point_estimate(c, m)
-    if not isinstance(level, ConfidenceLevel):
-        raise ValueError(f"level must be a ConfidenceLevel, got {level!r}")
+    _check_level(level)
     lower, upper = _jeffreys_bounds(int(c), int(m), level.gamma)
     return IntervalEstimate(p_hat=p_hat, p_lower=lower, p_upper=upper, c=c, m=m)
 
@@ -309,8 +313,7 @@ def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndar
             f"counts must be a (3, n) integer array, got {counts.dtype} {counts.shape}")
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
-    if not isinstance(level, ConfidenceLevel):
-        raise ValueError(f"level must be a ConfidenceLevel, got {level!r}")
+    _check_level(level)
     outside = (counts < 0) | (counts > m)
     if outside.any():
         row, v = np.argwhere(outside)[0].tolist()
@@ -347,6 +350,7 @@ def coverage_experiment(
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_level(level)
     rng = np.random.default_rng(seed)
     frequencies = np.zeros(m + 1, dtype=np.int64)
     # Drawn in chunks, the counts are those of one whole draw.

@@ -12,7 +12,7 @@ on the seed and its index: a chunk of members is one counter jump and
 one block draw, chunked and whole draws give identical ensembles, and
 member k of a size-10 draw equals member k of a size-1000 draw.
 
-Models are stored as MMF text through `grid.read_blocks` and
+Models are stored as MMF text through `grid.stream_blocks` and
 `grid.write_blocks`: the header states r, and the mean block plus r
 factor-column blocks follow it.
 """
@@ -26,7 +26,7 @@ from typing import IO
 import numpy as np
 
 from .critical import _member_chunk, _tally
-from .grid import Ensemble, GridTopology, read_blocks, write_blocks
+from .grid import Ensemble, GridTopology, stream_blocks, write_blocks
 from .stats import ConfidenceLevel, DEFAULT_LEVEL, summarize
 
 __all__ = [
@@ -119,9 +119,11 @@ def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.nd
     z[:, :half] *= radius
     z[:, half:] *= radius
     # `mean + z @ factor.T` with one (k, n) array instead of two: IEEE
-    # addition is commutative, so the sums are the same.
-    out = z[:, :r] @ model.factor.T
-    out += model.mean
+    # addition is commutative, so the sums are the same.  An overflow is
+    # reported by the check below, not as a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = z[:, :r] @ model.factor.T
+        out += model.mean
     out = out[:stop - start]
     # The `Ensemble` test: min and max propagate NaN and +-inf.
     if not (np.isfinite(out.min()) and np.isfinite(out.max())):
@@ -175,7 +177,7 @@ def _mmf_block_name(k: int, r: int) -> str:
 
 def load_moment_model(source: IO[bytes]) -> MomentModel:
     """Parse an MMF stream written by save_moment_model."""
-    topology, values = read_blocks(source, "MMF1", "nx ny r", _mmf_block_name, extra=1)
+    topology, _, (values,) = stream_blocks(source, "MMF1", "nx ny r", _mmf_block_name, extra=1)
     # Copies, so the model holds no view of the parse buffer; a C-contiguous
     # (n, r) factor keeps `z @ factor.T` bit-identical.
     return MomentModel(topology, values[0].copy(), np.ascontiguousarray(values[1:].T))

@@ -906,7 +906,7 @@ class TestSynth:
             "--ground-truth")
         assert (code, err) == (0, "")
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_truth_rejects_draws_that_overflow(self, tmp_path):
         # Every stored value is finite, but sums of +-1e308 terms are not.
         topology = GridTopology(3, 3)
@@ -917,7 +917,8 @@ class TestSynth:
         out = tmp_path / "truth.csv"
         code, _, err = run_cli(
             "synth", "truth", "--input", str(mmf), "--output", str(out), "--draws", "1000")
-        assert code == 2 and "overflow float64" in err
+        assert code == 2
+        assert err == "cpci: error: the moment model's draws overflow float64\n"
         assert not out.exists()
 
     def test_truth_without_collapse_keeps_intervals(self, tmp_path, model_file):

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from cpci import render
 from cpci.cli import _SUMMARY_HEADER, _read_summary_csv, _summary_csv, _write_text
 from cpci.critical import count_types
-from cpci.grid import Ensemble, GridTopology, distinct_rows
+from cpci.grid import Ensemble, GridTopology, keyed_text
 from cpci.render import GlyphStyle, render_map, render_map_pieces
 from cpci.stats import ConfidenceLevel, summarize
 
@@ -99,6 +99,11 @@ def estimate_table(topology: GridTopology, m: int = 50, seed: int = 0) -> np.nda
     return summarize(counts_of(smooth_ensemble(topology, m, seed)), m, ConfidenceLevel(0.95))
 
 
+def glyph_bodies(table, topology) -> list[str]:
+    """The SVG piece after each vertex's opening tag: its shared glyph body."""
+    return render_map_pieces(table, topology)[2:-2:2]
+
+
 @st.composite
 def tables(draw):
     nx, ny = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -110,25 +115,50 @@ def tables(draw):
     return GridTopology(nx, ny), np.array(pool)[picks].reshape(3, 3, nx * ny)
 
 
-class TestDistinctRows:
+def hex_text(rows: np.ndarray) -> list[str]:
+    """The per-row oracle: each row's raw bytes as hex."""
+    return [row.tobytes().hex() for row in rows]
+
+
+def keyed_hex(rows: np.ndarray) -> list[str]:
+    """`keyed_text` with the oracle's formatter, checking it is called once."""
+    calls = []
+
+    def format_rows(distinct):
+        calls.append(len(distinct))
+        return hex_text(distinct)
+    out = keyed_text(rows, format_rows)
+    assert len(calls) == 1 and calls[0] == len(set(out))
+    return out
+
+
+class TestKeyedText:
     def test_keys_exact_bits(self):
-        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 0.5]])
-        distinct, inverse = distinct_rows(rows)
-        assert distinct.shape == (3, 2)
-        assert inverse[0] == inverse[2] != inverse[1]
-        assert distinct[inverse].tobytes() == rows.tobytes()
+        payload_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 0.5],
+                         [payload_nan, 0.5]])
+        out = keyed_hex(rows)
+        assert out == hex_text(rows)
+        assert len(set(out)) == 4 and out[0] is out[2]
 
     def test_integer_rows(self):
         rows = np.array([[2, 7], [1, 1], [2, 7], [1, 1]], dtype=np.int64)
-        distinct, inverse = distinct_rows(rows)
-        assert distinct.dtype == np.int64 and len(distinct) == 2
-        assert np.array_equal(distinct[inverse], rows)
+        out = keyed_hex(rows)
+        assert out == hex_text(rows)
+        assert len(set(out)) == 2
 
-    def test_first_occurrence_order(self):
+    def test_equal_keys_share_one_string(self):
         rows = np.array([[5, 1], [2, 2], [5, 1], [0, 9], [2, 2]], dtype=np.int64)
-        distinct, inverse = distinct_rows(rows)
-        assert distinct.tolist() == [[5, 1], [2, 2], [0, 9]]
-        assert inverse.tolist() == [0, 1, 0, 2, 1]
+        out = keyed_hex(rows)
+        assert out == hex_text(rows)
+        assert out[0] is out[2] and out[1] is out[4]
+
+    def test_shuffled_rows_give_shuffled_strings(self):
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 3, (200, 3))
+        order = rng.permutation(len(rows))
+        out, shuffled = keyed_hex(rows), keyed_hex(rows[order])
+        assert shuffled == [out[k] for k in order] == hex_text(rows[order])
 
     def test_keys_exact_under_hash_collision(self):
         # A and B collide under the multiply-sum row hash sum_k row[k] * w**(k + 1)
@@ -136,10 +166,9 @@ class TestDistinctRows:
         w = [pow(0x9E3779B97F4A7C15, k, 1 << 64) for k in (1, 2)]
         a, b = [0, 0], [w[1], (1 << 64) - w[0]]
         rows = np.array([a, b, a], dtype=np.uint64).view(np.int64)
-        distinct, inverse = distinct_rows(rows)
-        assert len(distinct) == 2
-        assert inverse.tolist() == [0, 1, 0]
-        assert distinct[inverse].tobytes() == rows.tobytes()
+        out = keyed_hex(rows)
+        assert out == hex_text(rows)
+        assert len(set(out)) == 2 and out[0] is out[2]
         table = np.random.default_rng(3).choice([0.0, -0.0, 0.5], size=(3, 3, 12))
         assert_writers_match(table, GridTopology(4, 3))
 
@@ -156,8 +185,7 @@ class TestKeyedWritersMatchOracles:
         triples = np.array([(0, 0, 0), (0, 0, 0), (4, 0, 0), (0, 4, 0), (1, 0, 2), (0, 1, 1)])
         counts = triples[np.random.default_rng(6).integers(0, len(triples), t.n)].T
         table = summarize(counts, 4, ConfidenceLevel(0.95))
-        distinct, _ = distinct_rows(table.reshape(9, t.n).T)
-        assert len(distinct) == 5
+        assert len(set(glyph_bodies(table, t))) == 5
         assert_writers_match(table, t)
         assert_writers_match(table, t, GlyphStyle(r_max=7.5, cell=15.0))
 
@@ -165,9 +193,15 @@ class TestKeyedWritersMatchOracles:
         t = GridTopology(20, 15)
         lo_hat_hi = np.sort(np.random.default_rng(8).uniform(0, 1, (t.n, 3, 3)), axis=-1)
         table = lo_hat_hi[:, :, [1, 0, 2]].transpose(1, 2, 0)
-        distinct, _ = distinct_rows(table.reshape(9, t.n).T)
-        assert len(distinct) == t.n
+        assert len(set(glyph_bodies(table, t))) == t.n
         assert_writers_match(table, t)
+
+    def test_summary_csv_shares_row_strings(self):
+        t = GridTopology(20, 15)
+        pieces = _summary_csv(estimate_table(t, m=4), t, 4, 0.95)
+        # One `j` string per grid row, and one tail per distinct row.
+        assert len(set(map(id, pieces[2::3]))) == t.ny
+        assert len(set(map(id, pieces[3::3]))) == len(set(pieces[3::3]))
 
     def test_negative_zero_read_from_csv(self, tmp_path):
         rows = ["0,0,-0,-0,0.5,0,0,0,0.25,0.1,0.5", "1,0,0,0,0.5,-0,-0,0,0.25,0.1,0.5",

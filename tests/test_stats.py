@@ -413,6 +413,11 @@ class TestCoverageExperiment:
             tracemalloc.stop()
         assert peak <= 1.5 * 8 * stats._DRAW_CHUNK
 
+    def test_rejects_level_that_is_not_a_confidence_level(self):
+        # The same input error as `summarize` and `jeffreys_interval`.
+        with pytest.raises(ValueError, match="level must be a ConfidenceLevel, got 0.95"):
+            coverage_experiment(0.3, 9, 0.95)
+
     def test_reports_inputs(self):
         report = coverage_experiment(0.25, 12, ConfidenceLevel(0.99), reps=100, seed=3)
         assert (report.p_true, report.m, report.gamma, report.reps) == (

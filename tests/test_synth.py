@@ -303,10 +303,11 @@ class TestGroundTruth:
         with pytest.raises(ValueError):
             ground_truth_probabilities(_random_model(), 0, seed=1)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_draws_that_overflow_rejected(self):
         # Finite factor columns whose sums are not: the draws hold +-inf and
-        # NaN, which the classification kernel must never see.
+        # NaN, which the classification kernel must never see.  The overflow
+        # is the ValueError alone, with no numpy warning before it.
         t = GridTopology(3, 3)
         model = MomentModel(t, np.zeros(t.n), np.tile([1e308, -1e308], (t.n, 1)))
         with pytest.raises(ValueError, match="overflow float64"):
