@@ -418,11 +418,14 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     # Only the base seed comes from the user; the per-file seeds below wrap.
     _check_seed(args.seed)
-    os.makedirs(args.output, exist_ok=True)
     for seed, (size, k) in enumerate(itertools.product(sizes, range(args.count)), args.seed):
+        # Drawn before the directory is made, so a model whose draws fail
+        # leaves no empty directory behind.
+        ensemble = sample_ensemble(model, size, seed % _SEED_MAX)
+        os.makedirs(args.output, exist_ok=True)
         path = os.path.join(args.output, f"sample_m{size}_{k:02d}.egf")
         with _atomic_write(path) as sink:
-            save_ensemble(sample_ensemble(model, size, seed % _SEED_MAX), sink)
+            save_ensemble(ensemble, sink)
         print(path)
     return 0
 

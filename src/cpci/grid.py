@@ -10,11 +10,12 @@ line, an `nx ny count` header, then blocks of ny rows of nx reals.
 `stream_blocks` parses the header at once and then the body, as it is
 iterated, in chunks of whole lines into arrays of a given number of
 blocks: numpy's C text reader parses a chunk of plain numeric rows in
-one step (`_parse_chunk`), and any other chunk goes line by line, the
-parse that defines the format.  Other text tables, such as the summary
-CSV, read their rows in the same chunks (`_line_chunks`) through the
-same fast path, with their own byte alphabet, delimiter and record
-dtype, and parse any chunk it declines by their own rules.
+one step (`_parse_chunk`), and every other line goes through one
+line-by-line parse, the one that defines the format.  Other text
+tables, such as the summary CSV, read their rows in the same chunks
+(`_line_chunks`) through the same fast path, with their own byte
+alphabet, delimiter and record dtype, and parse any chunk it declines
+by their own rules.
 `write_blocks` writes the layout one block at a time.  The EGF callers
 are `load_ensemble` (the whole body as one array), `stream_ensemble` (a
 few members at a time) and `save_ensemble`; `cpci.synth` holds the MMF
@@ -260,47 +261,51 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
     array when `batch` is None; body errors surface from the iteration,
     after the blocks before them.  The body is read in chunks of whole
     lines: a chunk of plain numeric rows goes through `_parse_chunk` in
-    one step, even where it spans arrays, and any other chunk goes line
-    by line, which defines the format.
+    one step, even where it spans arrays.  Every other body line, in a
+    chunk it declines or left on the header's own line by a lone CR or
+    U+2028, goes through one line-by-line parse, which defines the
+    format.  Each array is allocated when the consumer asks for it: the
+    first before any row is parsed, each next one right after the array
+    before it is yielded.
     """
     seen = 0  # lines read so far
-    lineno = 1  # the last content line, which end-of-file errors name
-    pending: list[tuple[int, str]] = []  # content lines read but not yet parsed
 
-    def read(raw: bytes) -> None:
+    def numbered(raw: bytes) -> list[tuple[int, str]]:
+        """The (line number, text) content lines of one LF-terminated raw line."""
         nonlocal seen
-        for text in _split_lines(raw, seen):
-            seen += 1
-            if text and not text.startswith("#"):
-                pending.append((seen, text))
+        first, texts = seen + 1, _split_lines(raw, seen)
+        seen += len(texts)
+        return [(n, t) for n, t in enumerate(texts, first) if t and not t.startswith("#")]
 
-    def take(expected: str) -> str:
-        nonlocal lineno
-        while not pending:
+    # Content lines read but not yet parsed.  Past the header these are
+    # only the rows that a lone CR or U+2028 put on the header's raw line.
+    unparsed: list[tuple[int, str]] = []
+
+    def take(expected: str, last: int) -> tuple[int, str]:
+        while not unparsed:
             raw = source.readline()
             if not raw:
-                raise ParseError(lineno, f"unexpected end of file, expected {expected}")
-            read(raw)
-        lineno, text = pending.pop(0)
-        return text
+                raise ParseError(last, f"unexpected end of file, expected {expected}")
+            unparsed.extend(numbered(raw))
+        return unparsed.pop(0)
 
-    token = take(f"magic line {magic!r}")
+    lineno, token = take(f"magic line {magic!r}", 1)
     if token != magic:
         raise ParseError(lineno, f"bad magic line {token!r}, expected {magic!r}")
-    line = take(f"header {header!r}")
+    head, line = take(f"header {header!r}", lineno)
     parts = line.split()
     if len(parts) != 3:
         raise ParseError(
-            lineno, f"header {header!r} needs 3 integers, got {len(parts)} tokens")
+            head, f"header {header!r} needs 3 integers, got {len(parts)} tokens")
     try:
         nx, ny, count = (int(p) for p in parts)
     except ValueError:
-        raise ParseError(lineno, f"non-integer in header {line!r}") from None
+        raise ParseError(head, f"non-integer in header {line!r}") from None
     if min(nx, ny, count) < 1:
-        raise ParseError(lineno, f"header values must be positive, got {line!r}")
+        raise ParseError(head, f"header values must be positive, got {line!r}")
     topology = GridTopology(nx, ny)
     total = count + extra
-    head, too_big = lineno, f"header {line!r} asks for more values than fit in memory"
+    too_big = f"header {line!r} asks for more values than fit in memory"
     # No array can hold more bytes than the address space, and a count
     # that passes fits the int64 tallies and indices downstream.
     if total * topology.n > sys.maxsize // 8:
@@ -309,8 +314,9 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
     end, step = total * ny, size * ny  # rows in the body and per yielded array
 
     def body() -> Iterator[np.ndarray]:
-        nonlocal seen, lineno
+        nonlocal seen
         filled = 0  # rows parsed so far, over the whole body
+        lineno = head  # the last content line, which end-of-file errors name
 
         def start() -> np.ndarray:
             try:
@@ -321,24 +327,25 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
         def put(parsed: np.ndarray) -> Iterator[np.ndarray]:
             """Copy parsed rows in, yielding each array they fill as (k, n) blocks.
 
-            An array is yielded before the next one is allocated, so the
-            consumer works on it while only the rest of `parsed` waits.
+            The next array is allocated when the consumer asks for it, so
+            the consumer works on a yielded array while only the rest of
+            `parsed` waits.
             """
             nonlocal filled, rows
             while len(parsed):
                 at = filled % step
-                if at == 0 and filled:
-                    rows = start()
                 stored = min(len(parsed), len(rows) - at)
                 rows[at:at + stored] = parsed[:stored]
                 parsed = parsed[stored:]
                 filled += stored
                 if at + stored == len(rows):
                     yield rows.reshape(-1, topology.n)
+                    rows = start()
 
-        def parse_pending() -> Iterator[np.ndarray]:
+        def parse_lines(lines: Iterable[tuple[int, str]]) -> Iterator[np.ndarray]:
+            """Parse numbered content lines one row at a time: the format's definition."""
             nonlocal lineno
-            for lineno, text in pending:
+            for lineno, text in lines:
                 if filled == end:
                     raise ParseError(lineno, "trailing content after final block")
                 k, j = divmod(filled, ny)
@@ -355,21 +362,19 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
                     bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
                     raise ParseError(lineno, f"non-finite value {bad!r}")
                 yield from put(row[None])
-            pending.clear()
 
         # The first array is allocated before any row is parsed, so a header
-        # that asks for more than memory holds fails at the header; the rest
-        # are allocated at their first row.
+        # that asks for more than memory holds fails at the header; each next
+        # one right after the array before it is yielded.
         rows = start()
-        yield from parse_pending()
+        yield from parse_lines(unparsed)
         for chunk in _line_chunks(source):
             # The room is the rest of the body, not of the current array, so a
             # chunk that spans two arrays still parses in one step.
             parsed = _parse_chunk(chunk, nx, end - filled)
             if parsed is None:
-                for raw in io.BytesIO(chunk):
-                    read(raw)
-                    yield from parse_pending()
+                yield from parse_lines(
+                    line for raw in io.BytesIO(chunk) for line in numbered(raw))
             else:
                 seen += len(parsed)
                 lineno = seen

@@ -906,17 +906,30 @@ class TestSynth:
             "--ground-truth")
         assert (code, err) == (0, "")
 
-    @pytest.mark.filterwarnings("error")
-    def test_truth_rejects_draws_that_overflow(self, tmp_path):
+    @pytest.fixture
+    def overflow_model(self, tmp_path):
         # Every stored value is finite, but sums of +-1e308 terms are not.
         topology = GridTopology(3, 3)
         factor = np.tile([1e308, -1e308], (topology.n, 1))
         mmf = tmp_path / "model.mmf"
         with open(mmf, "wb") as sink:
             save_moment_model(MomentModel(topology, np.zeros(topology.n), factor), sink)
+        return mmf
+
+    @pytest.mark.filterwarnings("error")
+    def test_truth_rejects_draws_that_overflow(self, tmp_path, overflow_model):
         out = tmp_path / "truth.csv"
-        code, _, err = run_cli(
-            "synth", "truth", "--input", str(mmf), "--output", str(out), "--draws", "1000")
+        code, _, err = run_cli("synth", "truth", "--input", str(overflow_model),
+                               "--output", str(out), "--draws", "1000")
+        assert code == 2
+        assert err == "cpci: error: the moment model's draws overflow float64\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_sample_that_overflows_leaves_no_directory(self, tmp_path, overflow_model):
+        out = tmp_path / "samples"
+        code, _, err = run_cli("synth", "sample", "--input", str(overflow_model),
+                               "--output", str(out), "--sizes", "10")
         assert code == 2
         assert err == "cpci: error: the moment model's draws overflow float64\n"
         assert not out.exists()
@@ -1041,7 +1054,7 @@ class TestExitCodes:
             "synth", "sample", "--input", str(DATA / "golden_model.mmf"),
             "--output", str(out), "--sizes", "1000000000000")
         assert (code, stdout, err) == (2, "", f"cpci: error: {message}\n")
-        assert os.listdir(out) == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_outputs_get_the_umask_mode(self, tmp_path, umask):

@@ -251,6 +251,12 @@ PARSER_CONTRACT = {
     "form-feed-in-row": (
         "egf", b"EGF1\n2 2 1\n1\x0c2\n3 4\n",
         ParseError(3, "expected 2 values in row 0 of member 0, got 1")),
+    # A lone CR leaves rows on the header's raw line, and plain lines follow.
+    "rows-in-header-line": (
+        "egf", b"EGF1\n2 2 2\r1 2\r3 4\n5 6\n7 8\n", [[1, 2, 3, 4], [5, 6, 7, 8]]),
+    "short-row-in-header-line": (
+        "egf", b"EGF1\n2 2 1\r1\r3 4\n",
+        ParseError(3, "expected 2 values in row 0 of member 0, got 1")),
     "u2028-splits-a-row": (
         "egf", "EGF1\n2 2 1\n1 2 3 4\n".encode(), [[1, 2, 3, 4]]),
     "comments-and-blanks": (
@@ -343,7 +349,8 @@ class TestParserContract:
 BODY_ODDITIES = [
     "lf", "crlf", "lone-cr", "tab", "form-feed-in-row", "u2028-splits-a-row",
     "comments-and-blanks", "trailing-content", "short-row", "oops", "underscore",
-    "infinity", "nan", "overflow", "missing-block", "invalid-utf8",
+    "infinity", "nan", "overflow", "missing-block", "invalid-utf8", "rows-in-header-line",
+    "short-row-in-header-line",
 ]
 CLEAN_MEMBER = b"1 2\n3 4\n"
 
