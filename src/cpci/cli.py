@@ -75,6 +75,24 @@ def _umask() -> int:
     return mask
 
 
+def _fsync_directory(directory: str) -> None:
+    """Fsync `directory`, so the entries made in it survive a crash."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _make_directories(path: str) -> None:
+    """Make directory `path` and its missing parents; fsync the parent of each one made."""
+    if not os.path.isdir(path):
+        parent = os.path.dirname(os.path.abspath(path))
+        _make_directories(parent)
+        os.mkdir(path)
+        _fsync_directory(parent)
+
+
 @contextlib.contextmanager
 def _atomic_write(path: str) -> Iterator[IO[bytes]]:
     """Yield the binary handle of a temp file that replaces `path` on success.
@@ -82,10 +100,14 @@ def _atomic_write(path: str) -> Iterator[IO[bytes]]:
     The only code that creates, renames or removes an output file.  The
     file and then its directory are fsynced, so a completed output
     survives a crash; on any failure the temp file is removed and an
-    existing `path` keeps its bytes.
+    existing `path` keeps its bytes.  An error making the temp file names
+    `path`, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpci-tmp-")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpci-tmp-")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
             # mkstemp creates the file 0600 and os.replace keeps that mode;
@@ -99,11 +121,7 @@ def _atomic_write(path: str) -> Iterator[IO[bytes]]:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    _fsync_directory(directory)
 
 
 def _write_text(path: str, pieces: Iterable[str]) -> None:
@@ -140,11 +158,8 @@ def _summary_csv(
     topology: GridTopology,
     m: int,
     gamma: float,
-    collapse: bool = False,
 ) -> list[str]:
-    """Summary CSV pieces of a (3, 3, n) table; `collapse` writes hat as lo and hi."""
-    if collapse:
-        table = table[:, [0, 0, 0]]
+    """Summary CSV pieces of a (3, 3, n) table."""
     return _vertex_csv(f"# m={m} gamma={float(gamma)!r}\n{_SUMMARY_HEADER}\n",
                        table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
 
@@ -384,15 +399,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     topology, table, _, _ = _read_summary_csv(args.input)
     if args.ground_truth:
-        hat = table[:, 0]
-        spread = (table[:, 1] != hat) | (table[:, 2] != hat)
-        if spread.any():
-            v, t = np.argwhere(spread.T)[0].tolist()
-            i, j = topology.coords(v)
-            raise ValueError(
-                f"--ground-truth requires p_hat = p_lower = p_upper; "
-                f"vertex ({i}, {j}) type {('min', 'max', 'sad')[t]} has "
-                "(%.9g, %.9g, %.9g)" % tuple(table[t, :, v].tolist()))
+        # A ground-truth map shows point estimates: each p_hat is its own interval.
+        table = table[:, [0, 0, 0]]
     style = GlyphStyle(r_max=args.rmax, cell=args.cell)
     _write_text(args.output, render_map_pieces(table, topology, style))
     return 0
@@ -419,10 +427,11 @@ def cmd_synth_sample(args: argparse.Namespace) -> int:
     # Only the base seed comes from the user; the per-file seeds below wrap.
     _check_seed(args.seed)
     for seed, (size, k) in enumerate(itertools.product(sizes, range(args.count)), args.seed):
-        # Drawn before the directory is made, so a model whose draws fail
-        # leaves no empty directory behind.
         ensemble = sample_ensemble(model, size, seed % _SEED_MAX)
-        os.makedirs(args.output, exist_ok=True)
+        if seed == args.seed:
+            # Made once, after the first draw, so a model whose draws fail
+            # leaves no empty directory behind.
+            _make_directories(args.output)
         path = os.path.join(args.output, f"sample_m{size}_{k:02d}.egf")
         with _atomic_write(path) as sink:
             save_ensemble(ensemble, sink)
@@ -434,8 +443,7 @@ def cmd_synth_truth(args: argparse.Namespace) -> int:
     model = _load_model_path(args.input)
     level = ConfidenceLevel(args.gamma)
     table = ground_truth_probabilities(model, args.draws, args.seed, level)
-    _write_text(args.output, _summary_csv(table, model.topology, args.draws, level.gamma,
-                                          collapse=args.collapse))
+    _write_text(args.output, _summary_csv(table, model.topology, args.draws, level.gamma))
     return 0
 
 
@@ -502,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cell", type=float, default=40.0, help="grid spacing in pixels (default 40)")
     p_render.add_argument(
         "--ground-truth", action="store_true",
-        help="require degenerate intervals (p_hat = p_lower = p_upper)")
+        help="draw each p_hat alone, with no interval (p_lower = p_upper = p_hat)")
     p_render.set_defaults(func=cmd_render)
 
     p_synth = sub.add_parser(
@@ -539,9 +547,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_truth.add_argument("--seed", type=int, default=0, help="seed (default 0)")
     p_truth.add_argument(
         "--gamma", type=float, default=0.95, help="confidence level (default 0.95)")
-    p_truth.add_argument(
-        "--collapse", action="store_true",
-        help="write degenerate rows (lo = hat = hi) for ground-truth rendering")
     p_truth.set_defaults(func=cmd_synth_truth)
 
     p_coverage = sub.add_parser(

@@ -1,6 +1,7 @@
 """End-to-end tests of the `cpci` command line against the library routes."""
 
 import importlib.metadata
+import io
 import os
 import shutil
 import subprocess
@@ -20,7 +21,10 @@ from cpci.cli import _read_summary_csv
 from cpci.critical import TYPE_CODES, CriticalType, classify_field, count_types
 from cpci.grid import GridTopology, load_ensemble
 from cpci.stats import ConfidenceLevel, coverage_experiment
-from cpci.synth import MomentModel, estimate_moments, sample_ensemble, save_moment_model
+from cpci.synth import (
+    MomentModel, estimate_moments, ground_truth_probabilities, load_moment_model,
+    sample_ensemble, save_moment_model,
+)
 
 from conftest import grid_field, run_cli, write_egf
 
@@ -673,10 +677,12 @@ class TestWriterOutputIsPlain:
         self.assert_reads_back(DATA / "golden_summary.csv")
 
     def test_collapsed_truth(self, tmp_path, no_fallback):
+        # A degenerate table (lo = hat = hi), as a ground-truth map draws it.
+        model = load_moment_model(io.BytesIO((DATA / "golden_model.mmf").read_bytes()))
+        table = ground_truth_probabilities(model, 300, 0)
         out = tmp_path / "truth.csv"
-        code, _, _ = run_cli("synth", "truth", "--input", str(DATA / "golden_model.mmf"),
-                             "--output", str(out), "--draws", "300", "--collapse")
-        assert code == 0
+        cli._write_text(str(out), cli._summary_csv(table[:, [0, 0, 0]], model.topology,
+                                                   300, 0.95))
         self.assert_reads_back(out)
 
     def test_zeros_ones_and_exponents_at_256(self, summary_256, no_fallback):
@@ -757,14 +763,19 @@ class TestRender:
         assert code == 0
         assert out.read_bytes() == (DATA / "golden_map_4x4.svg").read_bytes()
 
-    def test_ground_truth_rejects_intervals(self, tmp_path):
-        out = tmp_path / "map.svg"
+    def test_ground_truth_draws_point_estimates(self, tmp_path):
+        # --ground-truth draws the map of the table with lo and hi replaced by hat.
+        topology, table, m, gamma = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+        hats = tmp_path / "hats.csv"
+        cli._write_text(str(hats), cli._summary_csv(table[:, [0, 0, 0]], topology, m, gamma))
+        out, plain = tmp_path / "map.svg", tmp_path / "plain.svg"
         code, _, err = run_cli(
             "render", "--input", str(DATA / "summary_4x4.csv"),
             "--output", str(out), "--ground-truth")
-        assert code == 2
-        assert "--ground-truth requires p_hat = p_lower = p_upper" in err
-        assert not out.exists()
+        assert (code, err) == (0, "")
+        assert run_cli("render", "--input", str(hats), "--output", str(plain))[0] == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert out.read_bytes() != (DATA / "golden_map_4x4.svg").read_bytes()
 
     def test_overlapping_glyphs_rejected(self, tmp_path):
         code, _, err = run_cli(
@@ -880,12 +891,12 @@ class TestSynth:
         assert code == 2 and "64-bit" in err
         assert stdout == "" and not out_dir.exists()
 
-    def test_truth_deterministic_and_collapse_renders(self, tmp_path, model_file):
+    def test_truth_deterministic_and_ground_truth_renders(self, tmp_path, model_file):
         csvs = (tmp_path / "t1.csv", tmp_path / "t2.csv")
         for path in csvs:
             code, _, _ = run_cli(
                 "synth", "truth", "--input", str(model_file), "--output", str(path),
-                "--draws", "300", "--collapse")
+                "--draws", "300")
             assert code == 0
         assert csvs[0].read_bytes() == csvs[1].read_bytes()
         assert csvs[0].read_text().splitlines()[0].startswith("# m=300 gamma=0.95")
@@ -898,7 +909,7 @@ class TestSynth:
         out = tmp_path / "truth.csv"
         code, _, _ = run_cli(
             "synth", "truth", "--input", str(model_file), "--output", str(out),
-            "--draws", "300", "--collapse", "--gamma", "0.9999999999")
+            "--draws", "300", "--gamma", "0.9999999999")
         assert code == 0
         assert out.read_text().splitlines()[0] == "# m=300 gamma=0.9999999999"
         code, _, err = run_cli(
@@ -940,10 +951,16 @@ class TestSynth:
             "synth", "truth", "--input", str(model_file), "--output", str(out),
             "--draws", "300")
         assert code == 0
+        _, table, _, _ = _read_summary_csv(str(out))
+        assert (table[:, 1] < table[:, 2]).any()
         code, _, err = run_cli(
             "render", "--input", str(out), "--output", str(tmp_path / "gt.svg"),
             "--ground-truth")
-        assert code == 2 and "--ground-truth requires" in err
+        assert (code, err) == (0, "")
+        code, _, err = run_cli(
+            "synth", "truth", "--input", str(model_file), "--output", str(out),
+            "--draws", "300", "--collapse")
+        assert code == 2 and "--collapse" in err
 
 
 class TestCoverage:
@@ -1023,6 +1040,15 @@ class TestExitCodes:
             "classify", "--input", str(egf),
             "--output", str(tmp_path / "no_such_dir" / "out.csv"))
         assert code == 2 and err.startswith("cpci: error:")
+
+    def test_missing_directory_is_named_by_the_output(self, tmp_path):
+        # The error names the output path, not the temp file made beside it.
+        out = tmp_path / "nodir" / "cov.csv"
+        code, _, err = run_cli(
+            "coverage", "--p", "0.3", "--m", "9", "--reps", "10", "--output", str(out))
+        assert code == 2
+        assert err == f"cpci: error: [Errno 2] No such file or directory: {str(out)!r}\n"
+        assert ".cpci-tmp" not in err
 
     def test_output_path_is_directory_leaves_no_temp(self, tmp_path, topo33):
         egf = tmp_path / "in.egf"

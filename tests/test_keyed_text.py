@@ -78,7 +78,8 @@ def render_map_oracle(table, topology, style=GlyphStyle()) -> str:
 def assert_writers_match(table, topology, style=GlyphStyle()):
     assert render_map(table, topology, style) == render_map_oracle(table, topology, style)
     for collapse in (False, True):
-        assert ("".join(_summary_csv(table, topology, 50, 0.95, collapse=collapse))
+        written = table[:, [0, 0, 0]] if collapse else table
+        assert ("".join(_summary_csv(written, topology, 50, 0.95))
                 == summary_csv_oracle(table, topology, 50, 0.95, collapse=collapse))
 
 

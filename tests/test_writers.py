@@ -73,17 +73,32 @@ class TestByteIdentity:
                 ordinal += 1
         assert len(stdout.splitlines()) == 4 and leftovers(tmp_path) == []
 
-    @pytest.mark.parametrize("collapse", [False, True])
-    def test_truth_matches_oracle(self, tmp_path, collapse):
+    def test_truth_matches_oracle(self, tmp_path):
         out = tmp_path / "truth.csv"
         code, _, err = run_cli("synth", "truth", "--input", str(MODEL), "--output", str(out),
-                               "--draws", "2000", "--seed", "4", "--gamma", "0.8",
-                               *(["--collapse"] if collapse else []))
+                               "--draws", "2000", "--seed", "4", "--gamma", "0.8")
         assert code == 0, err
         model = load_moment_model(io.BytesIO(MODEL.read_bytes()))
         table = ground_truth_probabilities(model, 2000, 4, ConfidenceLevel(0.8))
-        assert out.read_text() == summary_csv_oracle(table, model.topology, 2000, 0.8,
-                                                     collapse=collapse)
+        assert out.read_text() == summary_csv_oracle(table, model.topology, 2000, 0.8)
+
+    def test_ground_truth_map_matches_collapsed_truth(self, tmp_path):
+        # The map `render --ground-truth` draws from `synth truth` equals the
+        # plain map of the truth written with lo = hat = hi.
+        truth, collapsed = tmp_path / "truth.csv", tmp_path / "collapsed.csv"
+        code, _, err = run_cli("synth", "truth", "--input", str(MODEL), "--output",
+                               str(truth), "--draws", "2000", "--seed", "4", "--gamma", "0.8")
+        assert code == 0, err
+        model = load_moment_model(io.BytesIO(MODEL.read_bytes()))
+        table = ground_truth_probabilities(model, 2000, 4, ConfidenceLevel(0.8))
+        collapsed.write_text(summary_csv_oracle(table, model.topology, 2000, 0.8,
+                                                collapse=True))
+        maps = tmp_path / "ground_truth.svg", tmp_path / "collapsed.svg"
+        assert run_cli("render", "--input", str(truth), "--output", str(maps[0]),
+                       "--ground-truth") == (0, "", "")
+        assert run_cli("render", "--input", str(collapsed), "--output",
+                       str(maps[1])) == (0, "", "")
+        assert maps[0].read_bytes() == maps[1].read_bytes()
 
 
 class TestFailureInsideTheSink:
@@ -133,6 +148,53 @@ class TestFailureInsideTheSink:
         with pytest.raises(KeyboardInterrupt):
             run_cli("synth", "fit", "--input", str(EGF), "--output", str(tmp_path / "m.mmf"))
         assert os.listdir(tmp_path) == []
+
+
+@pytest.fixture
+def synced(monkeypatch) -> list:
+    """Log `("fsync", (st_dev, st_ino))` of each fd os.fsync syncs and
+    `("replace", dst)` of each os.replace, in call order."""
+    log, fsync, replace = [], os.fsync, os.replace
+
+    def logged_fsync(fd):
+        status = os.fstat(fd)
+        log.append(("fsync", (status.st_dev, status.st_ino)))
+        fsync(fd)
+
+    def logged_replace(src, dst):
+        replace(src, dst)
+        log.append(("replace", os.fspath(dst)))
+
+    monkeypatch.setattr(os, "fsync", logged_fsync)
+    monkeypatch.setattr(os, "replace", logged_replace)
+    return log
+
+
+def identity(path) -> tuple[int, int]:
+    status = os.stat(path)
+    return status.st_dev, status.st_ino
+
+
+class TestDurability:
+    """A completed output survives a crash: the file is synced before it
+    replaces the output, its directory after, and a directory made for
+    the output is recorded in its parent."""
+
+    def test_file_synced_before_replace_and_directory_after(self, tmp_path, synced):
+        out = tmp_path / "cov.csv"
+        code, _, err = run_cli("coverage", "--p", "0.3", "--m", "9", "--reps", "10",
+                               "--output", str(out))
+        assert code == 0, err
+        assert synced == [("fsync", identity(out)), ("replace", str(out)),
+                          ("fsync", identity(tmp_path))]
+
+    def test_sample_syncs_the_parent_of_each_directory_it_makes(self, tmp_path, synced):
+        out = tmp_path / "a" / "b"
+        code, _, err = run_cli("synth", "sample", "--input", str(MODEL), "--output", str(out),
+                               "--sizes", "3,4")
+        assert code == 0, err
+        assert {("fsync", identity(tmp_path)), ("fsync", identity(tmp_path / "a")),
+                ("fsync", identity(out))} <= set(synced)
 
 
 class TestSampleMemory:
