@@ -9,85 +9,15 @@ one (3, 3, n) table of point estimates and Jeffreys interval bounds
 ensembles for validation; `cli` wires it all into the `cpci` command.
 """
 
-from .critical import (
-    CriticalType,
-    TYPE_CODES,
-    classify_field,
-    classify_vertex,
-    compare_vertices,
-    count_types,
-)
-from .grid import (
-    Ensemble,
-    GridTopology,
-    ParseError,
-    VertexLink,
-    build_link,
-    load_ensemble,
-    save_ensemble,
-)
-from .render import (
-    GlyphStyle,
-    SECTORS,
-    glyph_radius,
-    render_map,
-)
-from .stats import (
-    ConfidenceLevel,
-    CoverageReport,
-    DEFAULT_LEVEL,
-    IntervalEstimate,
-    beta_quantile,
-    coverage_experiment,
-    jeffreys_interval,
-    point_estimate,
-    regularized_incomplete_beta,
-    summarize,
-)
-from .synth import (
-    MomentModel,
-    estimate_moments,
-    ground_truth_probabilities,
-    load_moment_model,
-    sample_ensemble,
-    save_moment_model,
-)
+# Each module's __all__ is its public API; PEP 8 allows star imports to republish it.
+from . import critical, grid, render, stats, synth
+from .critical import *  # noqa: F401,F403
+from .grid import *  # noqa: F401,F403
+from .render import *  # noqa: F401,F403
+from .stats import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CriticalType",
-    "TYPE_CODES",
-    "classify_field",
-    "classify_vertex",
-    "compare_vertices",
-    "count_types",
-    "Ensemble",
-    "GridTopology",
-    "ParseError",
-    "VertexLink",
-    "build_link",
-    "load_ensemble",
-    "save_ensemble",
-    "GlyphStyle",
-    "SECTORS",
-    "glyph_radius",
-    "render_map",
-    "ConfidenceLevel",
-    "CoverageReport",
-    "DEFAULT_LEVEL",
-    "IntervalEstimate",
-    "beta_quantile",
-    "coverage_experiment",
-    "jeffreys_interval",
-    "point_estimate",
-    "regularized_incomplete_beta",
-    "summarize",
-    "MomentModel",
-    "estimate_moments",
-    "ground_truth_probabilities",
-    "load_moment_model",
-    "sample_ensemble",
-    "save_moment_model",
-    "__version__",
-]
+__all__ = [*critical.__all__, *grid.__all__, *render.__all__, *stats.__all__,
+           *synth.__all__, "__version__"]

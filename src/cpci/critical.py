@@ -202,8 +202,7 @@ def classify_field(field: np.ndarray, topology: GridTopology) -> np.ndarray:
     """
     arr = np.asarray(field, dtype=np.float64)
     if arr.shape != (topology.n,):
-        raise ValueError(
-            f"field has {arr.size} values, topology needs {topology.n}")
+        raise ValueError(f"field must have shape ({topology.n},), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("field values must be finite")
     return _classify_codes(arr[None, :], topology)[0]

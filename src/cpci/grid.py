@@ -20,7 +20,10 @@ by their own rules.
 are `load_ensemble` (the whole body as one array), `stream_ensemble` (a
 few members at a time) and `save_ensemble`; `cpci.synth` holds the MMF
 ones.  The CSV and SVG writers format per-vertex rows through
-`keyed_text`, once per distinct row.
+`keyed_text`, once per distinct row.  `stream_ensemble`,
+`stream_blocks`, `write_blocks` and `keyed_text` are left out of
+`__all__`, and so out of the package API: they are the streaming and
+formatting plumbing that `cli`, `render` and `synth` import by name.
 """
 
 from __future__ import annotations
@@ -40,11 +43,7 @@ __all__ = [
     "ParseError",
     "build_link",
     "load_ensemble",
-    "stream_ensemble",
     "save_ensemble",
-    "stream_blocks",
-    "write_blocks",
-    "keyed_text",
 ]
 
 # Edge-connected offsets in counterclockwise cyclic order, starting at

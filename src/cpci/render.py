@@ -35,7 +35,6 @@ __all__ = [
     "SECTORS",
     "glyph_radius",
     "render_map",
-    "render_map_pieces",
 ]
 
 SECTORS = (("max", 90.0, 210.0), ("min", 210.0, 330.0), ("sad", 330.0, 450.0))
@@ -192,6 +191,9 @@ def render_map_pieces(
     legend, legend_w, legend_h = _legend(style, grid_w)
     width = grid_w + legend_w
     height = max(grid_h, legend_h)
+    if not (math.isfinite(width) and math.isfinite(height)):
+        raise ValueError(f"a {nx}x{ny} map at cell={style.cell!r}, r_max={style.r_max!r} "
+                         f"overflows the SVG canvas ({width} by {height})")
     header = (
         '<?xml version="1.0" encoding="UTF-8"?>\n'
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -121,6 +121,18 @@ def _check_unit(name: str, value: float) -> float:
     return value
 
 
+def _check_integer(name: str, value) -> None:
+    # A float or bool would be truncated in one place and divided raw in another.
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_size(m: int) -> None:
+    _check_integer("ensemble size", m)
+    if m < 1:
+        raise ValueError(f"ensemble size must be >= 1, got {m}")
+
+
 def _check_level(level) -> None:
     if not isinstance(level, ConfidenceLevel):
         raise ValueError(f"level must be a ConfidenceLevel, got {level!r}")
@@ -260,8 +272,8 @@ def beta_quantile(q: float, a: float, b: float) -> float:
 
 def point_estimate(c: int, m: int) -> float:
     """Occurrence probability estimate c/m."""
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
+    _check_integer("count c", c)
+    _check_size(m)
     if not 0 <= c <= m:
         raise ValueError(f"count c={c} outside [0, m={m}]")
     return c / m
@@ -311,8 +323,7 @@ def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndar
     if counts.ndim != 2 or counts.shape[0] != 3 or counts.dtype.kind not in "iu":
         raise ValueError(
             f"counts must be a (3, n) integer array, got {counts.dtype} {counts.shape}")
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
+    _check_size(m)
     _check_level(level)
     outside = (counts < 0) | (counts > m)
     if outside.any():
@@ -346,8 +357,7 @@ def coverage_experiment(
     count is evaluated once and weighted by its frequency.
     """
     p_true = _check_unit("p_true", p_true)
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
+    _check_size(m)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     _check_level(level)

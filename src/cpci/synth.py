@@ -27,7 +27,7 @@ import numpy as np
 
 from .critical import _member_chunk, _tally
 from .grid import Ensemble, GridTopology, stream_blocks, write_blocks
-from .stats import ConfidenceLevel, DEFAULT_LEVEL, summarize
+from .stats import ConfidenceLevel, DEFAULT_LEVEL, _check_integer, summarize
 
 __all__ = [
     "MomentModel",
@@ -42,8 +42,7 @@ _SEED_MAX = 1 << 64
 
 
 def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_integer("seed", seed)
     if not 0 <= seed < _SEED_MAX:
         raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
     return int(seed)

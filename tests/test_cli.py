@@ -783,6 +783,16 @@ class TestRender:
             "--output", str(tmp_path / "map.svg"), "--rmax", "30", "--cell", "40")
         assert code == 2 and "overlap" in err
 
+    def test_infinite_canvas_rejected(self, tmp_path):
+        out = tmp_path / "big.svg"
+        code, _, err = run_cli(
+            "render", "--input", str(DATA / "summary_4x4.csv"),
+            "--output", str(out), "--cell", "1e308", "--rmax", "1")
+        assert code == 2
+        assert err == ("cpci: error: a 4x4 map at cell=1e+308, r_max=1.0 "
+                       "overflows the SVG canvas (inf by inf)\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestSynth:
     @pytest.fixture

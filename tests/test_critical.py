@@ -216,6 +216,9 @@ class TestClassifyField:
     def test_size_mismatch_rejected(self, topo33):
         with pytest.raises(ValueError):
             classify_field(np.zeros(8), topo33)
+        # Nine values, the right count, in the wrong shape.
+        with pytest.raises(ValueError, match=r"field must have shape \(9,\), got \(1, 9\)"):
+            classify_field(np.zeros((1, 9)), topo33)
 
     def test_non_finite_rejected(self, topo33):
         field = np.zeros(9)

@@ -215,6 +215,19 @@ class TestRenderMap:
         with pytest.raises(ValueError, match="not a probability"):
             render_map(table, GridTopology(2, 2))
 
+    @pytest.mark.parametrize("nx, r_max", [(4, 1.0), (1, 4e307)])
+    def test_infinite_canvas_rejected(self, nx, r_max):
+        # 4x4: the grid's width overflows; 1x1: only the legend's does.
+        style = GlyphStyle(r_max=r_max, cell=1e308)
+        message = f"a {nx}x{nx} map at cell=1e+308, r_max={r_max!r} overflows the SVG canvas"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            render_map(np.zeros((3, 3, nx * nx)), GridTopology(nx, nx), style)
+
+    def test_large_finite_canvas_renders(self):
+        table = table_from({"max": (1.0, 1.0, 1.0)})
+        doc = render_map(table, GridTopology(1, 1), GlyphStyle(r_max=4e299, cell=1e300))
+        assert not re.search(r"\b(inf|nan)\b", doc)
+
     def test_glyph_groups_in_linear_order(self):
         t = GridTopology(3, 2)
         doc = render_map(np.zeros((3, 3, 6)), t)

@@ -221,6 +221,10 @@ class TestPointEstimate:
             point_estimate(10, 9)
         with pytest.raises(ValueError):
             point_estimate(-1, 9)
+        # Not truncated: a float, even a whole one, or a bool is not a count.
+        for c, m in ((2.5, 5), (2.0, 5), (2, 5.0), (True, 5), (1, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                point_estimate(c, m)
 
 
 # --- Jeffreys intervals -----------------------------------------------------
@@ -290,6 +294,17 @@ class TestJeffreysInterval:
         with pytest.raises(ValueError):
             jeffreys_interval(3, 9, level=0.95)
 
+    def test_count_and_size_must_be_integers(self):
+        # p_hat used to divide 2.5 / 5 while the bounds were those of c = 2.
+        with pytest.raises(ValueError, match="count c must be an integer, got 2.5"):
+            jeffreys_interval(2.5, 5)
+        with pytest.raises(ValueError, match="ensemble size must be an integer, got 5.0"):
+            jeffreys_interval(2, 5.0)
+        with pytest.raises(ValueError, match="count c must be an integer, got False"):
+            jeffreys_interval(False, 5)
+        est, ref = jeffreys_interval(np.int64(2), np.int32(5)), jeffreys_interval(2, 5)
+        assert (est.p_hat, est.p_lower, est.p_upper) == (0.4, ref.p_lower, ref.p_upper)
+
 
 # --- summaries ---------------------------------------------------------------
 
@@ -344,6 +359,10 @@ class TestSummarize:
             summarize(np.array([[0, 0], [0, 0], [0, 10]]), 9)
         with pytest.raises(ValueError, match="exceed ensemble size 9"):
             summarize(np.array([[4], [4], [4]]), 9)
+        for m in (2.5, 9.0, True):
+            with pytest.raises(ValueError, match="ensemble size must be an integer"):
+                summarize(np.array([[1], [0], [0]]), m)
+        assert summarize(np.array([[1], [0], [0]]), np.int64(9))[0, 0, 0] == 1 / 9
 
     def test_rejects_bad_shape_or_level(self):
         with pytest.raises(ValueError, match=r"\(3, n\) integer"):
@@ -430,6 +449,9 @@ class TestCoverageExperiment:
             coverage_experiment(0.5, 0)
         with pytest.raises(ValueError):
             coverage_experiment(0.5, 9, reps=0)
+        for m in (9.5, 9.0, True):
+            with pytest.raises(ValueError, match="ensemble size must be an integer"):
+                coverage_experiment(0.3, m)
 
     def test_hits_bounded(self):
         with pytest.raises(ValueError):
