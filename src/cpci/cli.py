@@ -7,6 +7,8 @@ finish, so failures never leave partial output.  Binary writers write
 into the sink's handle; text writers hand it a sequence of `str` pieces,
 encoded one at a time, so no output is held whole as text or bytes.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
+The summary CSV format is `grid`'s (`save_summary`, `load_summary`);
+`_load_summary_path` prefixes its errors with the file's path.
 Numbers in CSV output carry 9 significant digits with LF line endings,
 except the confidence level gamma: the summary's metadata, the coverage
 CSV and `query` write it as the shortest text that reads back to the
@@ -22,7 +24,6 @@ import itertools
 import os
 import sys
 import tempfile
-from array import array
 from collections.abc import Iterable, Iterator
 from typing import IO
 
@@ -35,34 +36,17 @@ from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
-    GridTopology, _line_chunks, _parse_chunk, keyed_text, load_ensemble, save_ensemble,
-    stream_ensemble,
+    load_ensemble, load_summary, save_ensemble, save_summary, stream_ensemble, vertex_csv,
 )
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
-from .stats import ConfidenceLevel, coverage_experiment, summarize
+from .stats import _SEED_MAX, ConfidenceLevel, _check_seed, coverage_experiment, summarize
 from .synth import (
-    _SEED_MAX,
-    _check_seed,
     estimate_moments,
     ground_truth_probabilities,
     load_moment_model,
     sample_ensemble,
     save_moment_model,
 )
-
-_SUMMARY_HEADER = (
-    "i,j,min_hat,min_lo,min_hi,max_hat,max_lo,max_hi,sad_hat,sad_lo,sad_hi"
-)
-_SUMMARY_COLUMNS = _SUMMARY_HEADER.split(",")[2:]
-_SUMMARY_TAIL = ",%.9g" * 9 + "\n"
-_SUMMARY_HEADER_LINE = (_SUMMARY_HEADER + "\n").encode("ascii")
-# The bytes of the summary rows that numpy's C text reader parses in one
-# step, and the record it parses each row into; i and j stay exact int64.
-_SUMMARY_PLAIN = b"0123456789.eE+-,\n"
-_SUMMARY_RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("values", np.float64, (9,))])
-# Summary metadata: key -> (type, valid, requirement); ConfidenceLevel needs gamma in (0, 1).
-_METADATA = {"m": (int, lambda m: m >= 1, "an integer >= 1"),
-             "gamma": (float, lambda g: 0.0 < g < 1.0, "a confidence level in (0, 1)")}
 
 
 def _fmt9(value: float) -> str:
@@ -135,203 +119,13 @@ def _load_model_path(path: str):
         return load_moment_model(handle)
 
 
-def _vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> list[str]:
-    """CSV pieces: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
-
-    `tail % row` is formatted once per distinct row (`grid.keyed_text`)
-    and shared by every vertex whose row has the same bits; the `i,` and
-    `j` pieces are formatted once per column and row of the grid.
-    """
-    def tails(distinct: np.ndarray) -> list[str]:
-        # A structured view makes tolist() yield the tuples `%` takes.
-        fields = distinct.view([("", distinct.dtype)] * distinct.shape[1]).ravel()
-        return [tail % row for row in fields.tolist()]
-    # The `i,` and `j` pieces are made after the rows are keyed, the writer's memory peak.
-    texts = keyed_text(rows, tails)
-    i_pieces = itertools.cycle([f"{i}," for i in range(nx)])
-    j_pieces = [j for j in map(str, range(len(rows) // nx)) for _ in range(nx)]
-    return [header, *itertools.chain.from_iterable(zip(i_pieces, j_pieces, texts))]
-
-
-def _summary_csv(
-    table: np.ndarray,
-    topology: GridTopology,
-    m: int,
-    gamma: float,
-) -> list[str]:
-    """Summary CSV pieces of a (3, 3, n) table."""
-    return _vertex_csv(f"# m={m} gamma={float(gamma)!r}\n{_SUMMARY_HEADER}\n",
-                       table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
-
-
-def _metadata(path: str, key: str, value: str):
-    """`value` parsed as summary metadata `key` requires, else a ValueError naming both."""
-    kind, valid, requirement = _METADATA[key]
-    with contextlib.suppress(ValueError):
-        number = kind(value)
-        if valid(number):
-            return number
-    raise ValueError(f"{path}: metadata {key}={value!r} is not {requirement}")
-
-
-def _content_lines(path: str, lines: Iterable[str], metadata: dict) -> Iterator[str]:
-    """The stripped lines of a summary that are neither blank nor comments.
-
-    Each comment is scanned for metadata into `metadata`, the last one
-    winning; a bad value is a ValueError naming `path` and the key.
-    """
-    for line in lines:
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            for token in stripped.lstrip("#").split():
-                key, _, value = token.partition("=")
-                if key in _METADATA and value:
-                    metadata[key] = _metadata(path, key, value)
-        elif stripped:
-            yield stripped
-
-
-def _summary_text(handle: IO[bytes], records: list[np.ndarray]) -> bytes:
-    """The bytes of a summary left to its text parse; plain rows go to `records`.
-
-    The head, the blank and `#` comment lines up to the header line, is
-    always left.  After the header, each chunk of whole lines that numpy's
-    C text reader parses in one step (`_parse_chunk`) with no negative
-    index is appended to `records`; from the first chunk that declines,
-    the rest of the file is left too.  Such a chunk holds no spaces,
-    quotes, `_` or letters but `e` and `E`, and the C reader reads its
-    cells as int() and float() do.
-    """
-    head = []
-    for raw in handle:
-        head.append(raw)
-        if raw == _SUMMARY_HEADER_LINE:
-            break
-        if raw.strip()[:1] not in (b"", b"#"):
-            return b"".join(head) + handle.read()
-    for chunk in _line_chunks(handle):
-        # No chunk has more lines than bytes, so its length is no bound.
-        rows = _parse_chunk(chunk, 1, len(chunk), _SUMMARY_PLAIN, ",", _SUMMARY_RECORD)
-        if rows is None or (rows["i"] < 0).any() or (rows["j"] < 0).any():
-            return b"".join(head) + chunk + handle.read()
-        records.append(rows[:, 0])
-    return b"".join(head)
-
-
-def _parse_text_rows(path: str, rows: list[str]) -> np.ndarray:
-    """Parse stripped summary data rows, one at a time, into `_SUMMARY_RECORD`s.
-
-    A ValueError names the first row that is not 11 fields which int()
-    (the indices) and float() (the values) accept; if there is none, an
-    index beyond int64; and then the first row with a negative index.
-    """
-    indices, values = [], array("d")
-    for row in rows:
-        fields = row.split(",")
-        if len(fields) != 11:
-            raise ValueError(f"{path}: expected 11 fields per row, got {len(fields)}: {row!r}")
-        try:
-            indices += int(fields[0]), int(fields[1])
-            values.extend(map(float, fields[2:]))
-        except ValueError:
-            raise ValueError(f"{path}: malformed row {row!r}") from None
-    try:
-        i, j = np.array(indices, dtype=np.int64).reshape(-1, 2).T
-    except OverflowError:
-        raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
-    negative = (i < 0) | (j < 0)
-    if negative.any():
-        raise ValueError(
-            f"{path}: negative vertex index in row {rows[int(np.argmax(negative))]!r}")
-    records = np.empty(len(rows), _SUMMARY_RECORD)
-    records["i"], records["j"] = i, j
-    records["values"] = np.frombuffer(values).reshape(-1, 9)
-    return records
-
-
-def _read_summary_rows(path: str):
-    """Parse the rows of a summary CSV; return (metadata, records).
-
-    `records` holds one `_SUMMARY_RECORD` per data row.  Plain rows after
-    the header are parsed in chunks through numpy's C text reader
-    (`_summary_text`).  The rest of the file, from the first chunk that
-    declines, is parsed as text together with the head: the comments are
-    scanned for metadata and the rows go to `_parse_text_rows`, which
-    parses them one at a time.  This text parse defines the summary
-    format and every message of a file it rejects.  Plain rows are ASCII,
-    hold no `#` and are valid rows with indices >= 0, so leaving them out
-    of the text changes no message.
-    """
-    records = []
+def _load_summary_path(path: str):
+    """`grid.load_summary` of the file at `path`; its errors are prefixed with `path`."""
     with open(path, "rb") as handle:
         try:
-            # The raw text is dropped here, before any row is parsed.
-            lines = _summary_text(handle, records).decode("utf-8").splitlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: not valid UTF-8 ({exc.reason})") from None
-    metadata = {}
-    data_lines = list(_content_lines(path, lines, metadata))
-    if not data_lines:
-        raise ValueError(f"{path}: no header row found")
-    header = data_lines[0]
-    if header != _SUMMARY_HEADER:
-        raise ValueError(
-            f"{path}: unexpected header {header!r}; expected {_SUMMARY_HEADER!r}")
-    if len(data_lines) > 1:
-        records.append(_parse_text_rows(path, data_lines[1:]))
-    if not records:
-        raise ValueError(f"{path}: no data rows")
-    return metadata, np.concatenate(records)
-
-
-def _read_summary_csv(path: str):
-    """Parse a summary CSV back into a (3, 3, n) table in linear vertex order.
-
-    Returns (topology, table, m, gamma); m and gamma are None when the
-    metadata comment is absent, and an error when present but not an
-    integer >= 1 and a level in (0, 1).  The rows are read in one pass
-    (`_read_summary_rows`): plain chunks through numpy's C text reader,
-    the rest row by row, with the result and messages of a wholly
-    row-by-row parse.  The row count is checked against the grid the
-    indices span before any per-vertex array is allocated.
-    """
-    metadata, records = _read_summary_rows(path)
-    i, j, values, rows = records["i"], records["j"], records["values"].T, len(records)
-    # Sorted by (j, i), the rows of a complete grid are its vertices in
-    # linear order: position k holds (k % nx, k // nx).
-    order = np.lexsort((i, j))
-    si, sj = i[order], j[order]
-    repeated = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
-    if repeated.any():
-        k = np.argmax(repeated)
-        raise ValueError(f"{path}: duplicate vertex ({si[k]}, {sj[k]})")
-    nx, ny = int(si.max()) + 1, int(sj.max()) + 1
-    topology = GridTopology(nx, ny)
-    if rows != topology.n:
-        # Distinct in-box rows are fewer than the vertices: name the first gap.
-        # k < rows, so dividing by min(nx, rows) splits k as nx does, and
-        # that divisor fits int64 where nx (up to 2**63) may not.
-        k, width = np.arange(rows), min(nx, rows)
-        gap = (si != k % width) | (sj != k // width)
-        first = int(np.argmax(gap)) if gap.any() else rows
-        raise ValueError(
-            f"{path}: missing vertex ({first % nx}, {first // nx}); {rows} rows "
-            f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
-    table = values.take(order, axis=1).reshape(3, 3, topology.n)
-    bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
-    if bad.any():
-        t, stat, v = np.argwhere(bad)[0].tolist()
-        raise ValueError(
-            f"{path}: vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + stat]}="
-            f"{float(table[t, stat, v])!r} is not a probability")
-    inverted = table[:, 1] > table[:, 2]
-    if inverted.any():
-        t, v = np.argwhere(inverted)[0].tolist()
-        raise ValueError(
-            f"{path}: vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + 1]}="
-            f"{float(table[t, 1, v])!r} exceeds {_SUMMARY_COLUMNS[3 * t + 2]}="
-            f"{float(table[t, 2, v])!r}")
-    return topology, table, metadata.get("m"), metadata.get("gamma")
+            return load_summary(handle)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _parse_list(text: str, flag: str, kind: type, noun: str) -> list:
@@ -370,17 +164,18 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         topology, m, blocks = stream_ensemble(handle, _member_chunk)
         counts = _tally(blocks, topology)
     if args.counts:
-        _write_text(args.output, _vertex_csv(
+        _write_text(args.output, vertex_csv(
             "i,j,c_min,c_max,c_saddle,m\n", counts.T, topology.nx, f",%d,%d,%d,{m}\n"))
         return 0
     level = ConfidenceLevel(args.gamma)
     table = summarize(counts, m, level)
-    _write_text(args.output, _summary_csv(table, topology, m, level.gamma))
+    with _atomic_write(args.output) as sink:
+        save_summary(table, topology, m, level.gamma, sink)
     return 0
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    topology, table, m, gamma = _read_summary_csv(args.input)
+    topology, table, m, gamma = _load_summary_path(args.input)
     if m is None or gamma is None:
         raise ValueError(
             f"{args.input}: missing `# m=... gamma=...` metadata; cannot report m and gamma")
@@ -397,7 +192,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
-    topology, table, _, _ = _read_summary_csv(args.input)
+    topology, table, _, _ = _load_summary_path(args.input)
     if args.ground_truth:
         # A ground-truth map shows point estimates: each p_hat is its own interval.
         table = table[:, [0, 0, 0]]
@@ -443,7 +238,8 @@ def cmd_synth_truth(args: argparse.Namespace) -> int:
     model = _load_model_path(args.input)
     level = ConfidenceLevel(args.gamma)
     table = ground_truth_probabilities(model, args.draws, args.seed, level)
-    _write_text(args.output, _summary_csv(table, model.topology, args.draws, level.gamma))
+    with _atomic_write(args.output) as sink:
+        save_summary(table, model.topology, args.draws, level.gamma, sink)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Simplicial grid topology, vertex links, and the text grid file format.
+"""Simplicial grid topology, vertex links, and the grid's text file formats.
 
 The domain is an nx-by-ny vertex lattice in which every unit cell
 [i, i+1] x [j, j+1] is split along the fixed diagonal from (i, j) to
@@ -11,25 +11,33 @@ line, an `nx ny count` header, then blocks of ny rows of nx reals.
 iterated, in chunks of whole lines into arrays of a given number of
 blocks: numpy's C text reader parses a chunk of plain numeric rows in
 one step (`_parse_chunk`), and every other line goes through one
-line-by-line parse, the one that defines the format.  Other text
-tables, such as the summary CSV, read their rows in the same chunks
-(`_line_chunks`) through the same fast path, with their own byte
-alphabet, delimiter and record dtype, and parse any chunk it declines
-by their own rules.
+line-by-line parse, the one that defines the format.
 `write_blocks` writes the layout one block at a time.  The EGF callers
 are `load_ensemble` (the whole body as one array), `stream_ensemble` (a
 few members at a time) and `save_ensemble`; `cpci.synth` holds the MMF
-ones.  The CSV and SVG writers format per-vertex rows through
-`keyed_text`, once per distinct row.  `stream_ensemble`,
-`stream_blocks`, `write_blocks` and `keyed_text` are left out of
-`__all__`, and so out of the package API: they are the streaming and
-formatting plumbing that `cli`, `render` and `synth` import by name.
+ones.
+
+The summary CSV, the per-vertex table of point estimates and interval
+bounds, is written by `save_summary` and read by `load_summary`.  Its
+reader takes its rows in the same chunks (`_line_chunks`) through the
+same fast path, with its own byte alphabet, delimiter and record dtype,
+and parses any chunk it declines row by row, the parse that defines
+the format.  Both take binary handles and name no file in their
+errors.  The CSV and SVG writers format per-vertex rows through
+`keyed_text`, once per distinct row; `vertex_csv` lays out the CSV
+ones.  `stream_ensemble`, `stream_blocks`, `write_blocks`, `keyed_text`
+and `vertex_csv` are left out of `__all__`, and so out of the package
+API: they are the streaming and formatting plumbing that `cli`,
+`render` and `synth` import by name.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
+import itertools
 import sys
+from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import IO
@@ -44,6 +52,8 @@ __all__ = [
     "build_link",
     "load_ensemble",
     "save_ensemble",
+    "load_summary",
+    "save_summary",
 ]
 
 # Edge-connected offsets in counterclockwise cyclic order, starting at
@@ -445,3 +455,219 @@ def stream_ensemble(source: IO[bytes], batch: Callable[[int], int],
 def save_ensemble(e: Ensemble, sink: IO[bytes]) -> None:
     """Write EGF bytes; inverse of load_ensemble (values roundtrip exactly)."""
     write_blocks(sink, "EGF1", e.topology, e.m, e.values)
+
+
+def vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> list[str]:
+    """CSV pieces: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
+
+    `tail % row` is formatted once per distinct row (`keyed_text`) and
+    shared by every vertex whose row has the same bits; the `i,` and `j`
+    pieces are formatted once per column and row of the grid.
+    """
+    def tails(distinct: np.ndarray) -> list[str]:
+        # A structured view makes tolist() yield the tuples `%` takes.
+        fields = distinct.view([("", distinct.dtype)] * distinct.shape[1]).ravel()
+        return [tail % row for row in fields.tolist()]
+    # The `i,` and `j` pieces are made after the rows are keyed, the writer's memory peak.
+    texts = keyed_text(rows, tails)
+    i_pieces = itertools.cycle([f"{i}," for i in range(nx)])
+    j_pieces = [j for j in map(str, range(len(rows) // nx)) for _ in range(nx)]
+    return [header, *itertools.chain.from_iterable(zip(i_pieces, j_pieces, texts))]
+
+
+_SUMMARY_HEADER = (
+    "i,j,min_hat,min_lo,min_hi,max_hat,max_lo,max_hi,sad_hat,sad_lo,sad_hi"
+)
+_SUMMARY_COLUMNS = _SUMMARY_HEADER.split(",")[2:]
+_SUMMARY_TAIL = ",%.9g" * 9 + "\n"
+_SUMMARY_HEADER_LINE = (_SUMMARY_HEADER + "\n").encode("ascii")
+# The bytes of the summary rows that numpy's C text reader parses in one
+# step, and the record it parses each row into; i and j stay exact int64.
+_SUMMARY_PLAIN = b"0123456789.eE+-,\n"
+_SUMMARY_RECORD = np.dtype([("i", np.int64), ("j", np.int64), ("values", np.float64, (9,))])
+# Summary metadata: key -> (type, valid, requirement); ConfidenceLevel needs gamma in (0, 1).
+_METADATA = {"m": (int, lambda m: m >= 1, "an integer >= 1"),
+             "gamma": (float, lambda g: 0.0 < g < 1.0, "a confidence level in (0, 1)")}
+
+
+def _summary_csv(
+    table: np.ndarray,
+    topology: GridTopology,
+    m: int,
+    gamma: float,
+) -> list[str]:
+    """Summary CSV pieces of a (3, 3, n) table."""
+    return vertex_csv(f"# m={m} gamma={float(gamma)!r}\n{_SUMMARY_HEADER}\n",
+                      table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
+
+
+def _metadata(key: str, value: str):
+    """`value` parsed as summary metadata `key` requires, else a ValueError naming both."""
+    kind, valid, requirement = _METADATA[key]
+    with contextlib.suppress(ValueError):
+        number = kind(value)
+        if valid(number):
+            return number
+    raise ValueError(f"metadata {key}={value!r} is not {requirement}")
+
+
+def save_summary(table: np.ndarray, topology: GridTopology, m: int, gamma: float,
+                 sink: IO[bytes]) -> None:
+    """Write a (3, 3, n) table as summary CSV bytes; inverse of load_summary.
+
+    Values carry 9 significant digits and gamma the shortest text that
+    reads back to the same double.  Metadata that `load_summary` would
+    reject is a ValueError, raised before anything is written.
+    """
+    if np.shape(table) != (3, 3, topology.n):
+        raise ValueError(f"table must have shape (3, 3, {topology.n}), got {np.shape(table)}")
+    _metadata("m", str(m))
+    _metadata("gamma", repr(float(gamma)))
+    sink.writelines(map(str.encode, _summary_csv(table, topology, m, gamma)))
+
+
+def _content_lines(lines: Iterable[str], metadata: dict) -> Iterator[str]:
+    """The stripped lines of a summary that are neither blank nor comments.
+
+    Each comment is scanned for metadata into `metadata`, the last one
+    winning; a bad value is a ValueError naming the key.
+    """
+    for line in lines:
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            for token in stripped.lstrip("#").split():
+                key, _, value = token.partition("=")
+                if key in _METADATA and value:
+                    metadata[key] = _metadata(key, value)
+        elif stripped:
+            yield stripped
+
+
+def _summary_text(handle: IO[bytes], records: list[np.ndarray]) -> bytes:
+    """The bytes of a summary left to its text parse; plain rows go to `records`.
+
+    The head, the blank and `#` comment lines up to the header line, is
+    always left.  After the header, each chunk of whole lines that numpy's
+    C text reader parses in one step (`_parse_chunk`) with no negative
+    index is appended to `records`; from the first chunk that declines,
+    the rest of the file is left too.  Such a chunk holds no spaces,
+    quotes, `_` or letters but `e` and `E`, and the C reader reads its
+    cells as int() and float() do.
+    """
+    head = []
+    for raw in handle:
+        head.append(raw)
+        if raw == _SUMMARY_HEADER_LINE:
+            break
+        if raw.strip()[:1] not in (b"", b"#"):
+            return b"".join(head) + handle.read()
+    for chunk in _line_chunks(handle):
+        # No chunk has more lines than bytes, so its length is no bound.
+        rows = _parse_chunk(chunk, 1, len(chunk), _SUMMARY_PLAIN, ",", _SUMMARY_RECORD)
+        if rows is None or (rows["i"] < 0).any() or (rows["j"] < 0).any():
+            return b"".join(head) + chunk + handle.read()
+        records.append(rows[:, 0])
+    return b"".join(head)
+
+
+def _parse_text_rows(rows: list[str]) -> np.ndarray:
+    """Parse stripped summary data rows, one at a time, into `_SUMMARY_RECORD`s.
+
+    A ValueError names the first row that is not 11 fields which int()
+    (the indices) and float() (the values) accept; if there is none, an
+    index beyond int64; and then the first row with a negative index.
+    """
+    indices, values = [], array("d")
+    for row in rows:
+        fields = row.split(",")
+        if len(fields) != 11:
+            raise ValueError(f"expected 11 fields per row, got {len(fields)}: {row!r}")
+        try:
+            indices += int(fields[0]), int(fields[1])
+            values.extend(map(float, fields[2:]))
+        except ValueError:
+            raise ValueError(f"malformed row {row!r}") from None
+    try:
+        i, j = np.array(indices, dtype=np.int64).reshape(-1, 2).T
+    except OverflowError:
+        raise ValueError("vertex index beyond the 64-bit range") from None
+    negative = (i < 0) | (j < 0)
+    if negative.any():
+        raise ValueError(f"negative vertex index in row {rows[int(np.argmax(negative))]!r}")
+    records = np.empty(len(rows), _SUMMARY_RECORD)
+    records["i"], records["j"] = i, j
+    records["values"] = np.frombuffer(values).reshape(-1, 9)
+    return records
+
+
+def load_summary(source: IO[bytes]):
+    """Parse summary CSV bytes back into a (3, 3, n) table in linear vertex order.
+
+    Returns (topology, table, m, gamma); m and gamma are None when the
+    metadata comment is absent, and an error when present but not an
+    integer >= 1 and a level in (0, 1).  Plain rows after the header are
+    parsed in chunks through numpy's C text reader (`_summary_text`).  The
+    rest of the file, from the first chunk that declines, is parsed as
+    text together with the head: the comments are scanned for metadata
+    and the rows go to `_parse_text_rows`, which parses them one at a
+    time.  This text parse defines the summary format and every message
+    of a file it rejects.  Plain rows are ASCII, hold no `#` and are valid
+    rows with indices >= 0, so leaving them out of the text changes no
+    result or message.  The row count is checked against the grid the
+    indices span before any per-vertex array is allocated.  Messages name
+    no file; a caller that opened one adds its name.
+    """
+    records = []
+    try:
+        # The raw text is dropped here, before any row is parsed.
+        lines = _summary_text(source, records).decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not valid UTF-8 ({exc.reason})") from None
+    metadata = {}
+    data_lines = list(_content_lines(lines, metadata))
+    if not data_lines:
+        raise ValueError("no header row found")
+    header = data_lines[0]
+    if header != _SUMMARY_HEADER:
+        raise ValueError(f"unexpected header {header!r}; expected {_SUMMARY_HEADER!r}")
+    if len(data_lines) > 1:
+        records.append(_parse_text_rows(data_lines[1:]))
+    if not records:
+        raise ValueError("no data rows")
+    records = np.concatenate(records)
+    i, j, values, rows = records["i"], records["j"], records["values"].T, len(records)
+    # Sorted by (j, i), the rows of a complete grid are its vertices in
+    # linear order: position k holds (k % nx, k // nx).
+    order = np.lexsort((i, j))
+    si, sj = i[order], j[order]
+    repeated = (si[1:] == si[:-1]) & (sj[1:] == sj[:-1])
+    if repeated.any():
+        k = np.argmax(repeated)
+        raise ValueError(f"duplicate vertex ({si[k]}, {sj[k]})")
+    nx, ny = int(si.max()) + 1, int(sj.max()) + 1
+    topology = GridTopology(nx, ny)
+    if rows != topology.n:
+        # Distinct in-box rows are fewer than the vertices: name the first gap.
+        # k < rows, so dividing by min(nx, rows) splits k as nx does, and
+        # that divisor fits int64 where nx (up to 2**63) may not.
+        k, width = np.arange(rows), min(nx, rows)
+        gap = (si != k % width) | (sj != k // width)
+        first = int(np.argmax(gap)) if gap.any() else rows
+        raise ValueError(
+            f"missing vertex ({first % nx}, {first // nx}); {rows} rows "
+            f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
+    table = values.take(order, axis=1).reshape(3, 3, topology.n)
+    bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
+    if bad.any():
+        t, stat, v = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            f"vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + stat]}="
+            f"{float(table[t, stat, v])!r} is not a probability")
+    inverted = table[:, 1] > table[:, 2]
+    if inverted.any():
+        t, v = np.argwhere(inverted)[0].tolist()
+        raise ValueError(
+            f"vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + 1]}="
+            f"{float(table[t, 1, v])!r} exceeds {_SUMMARY_COLUMNS[3 * t + 2]}="
+            f"{float(table[t, 2, v])!r}")
+    return topology, table, metadata.get("m"), metadata.get("gamma")

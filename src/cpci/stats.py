@@ -41,6 +41,7 @@ _Q_TOL = 1e-12           # quantile convergence, measured in q-space
 _Q_MAX_ITER = 200
 _COUNT_NAMES = ("c_min", "c_max", "c_saddle")
 _DRAW_CHUNK = 1 << 20    # coverage counts drawn at a time, so memory is O(m), not O(reps)
+_SEED_MAX = 1 << 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,13 @@ def _check_integer(name: str, value) -> None:
     # A float or bool would be truncated in one place and divided raw in another.
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_seed(seed: int) -> int:
+    _check_integer("seed", seed)
+    if not 0 <= seed < _SEED_MAX:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    return int(seed)
 
 
 def _check_size(m: int) -> None:
@@ -315,9 +323,10 @@ def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndar
 
     `counts` is a (3, n) integer array of (min, max, saddle) counts out
     of m.  Returns a float64 (3, 3, n) table indexed [type, stat
-    (hat, lo, hi), vertex], so `table.reshape(9, n).T` is the summary CSV
-    row order.  Each entry equals `jeffreys_interval(c, m, level)`; the
-    bounds are evaluated once per distinct count.
+    (hat, lo, hi), vertex], so `table.reshape(9, n).T` is the row order
+    of the summary CSV that `grid.save_summary` writes.  Each entry
+    equals `jeffreys_interval(c, m, level)`; the bounds are evaluated
+    once per distinct count.
     """
     counts = np.asarray(counts)
     if counts.ndim != 2 or counts.shape[0] != 3 or counts.dtype.kind not in "iu":
@@ -358,10 +367,11 @@ def coverage_experiment(
     """
     p_true = _check_unit("p_true", p_true)
     _check_size(m)
+    _check_integer("reps", reps)
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     _check_level(level)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     frequencies = np.zeros(m + 1, dtype=np.int64)
     # Drawn in chunks, the counts are those of one whole draw.
     for start in range(0, reps, _DRAW_CHUNK):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .critical import _member_chunk, _tally
 from .grid import Ensemble, GridTopology, stream_blocks, write_blocks
-from .stats import ConfidenceLevel, DEFAULT_LEVEL, _check_integer, summarize
+from .stats import ConfidenceLevel, DEFAULT_LEVEL, _check_integer, _check_seed, summarize
 
 __all__ = [
     "MomentModel",
@@ -37,16 +37,6 @@ __all__ = [
     "save_moment_model",
     "load_moment_model",
 ]
-
-_SEED_MAX = 1 << 64
-
-
-def _check_seed(seed: int) -> int:
-    _check_integer("seed", seed)
-    if not 0 <= seed < _SEED_MAX:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    return int(seed)
-
 
 @dataclass(frozen=True, eq=False)
 class MomentModel:
@@ -133,6 +123,7 @@ def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.nd
 def sample_ensemble(model: MomentModel, m_out: int, seed: int = 0) -> Ensemble:
     """Draw m_out members from the Gaussian model, deterministically in seed."""
     seed = _check_seed(seed)
+    _check_integer("m_out", m_out)
     if m_out < 1:
         raise ValueError(f"m_out must be >= 1, got {m_out}")
     return Ensemble(model.topology, _draw_members(model, 0, m_out, seed))
@@ -154,6 +145,7 @@ def ground_truth_probabilities(
     overflow float64 is a ValueError, as in `sample_ensemble`.
     """
     seed = _check_seed(seed)
+    _check_integer("n_draws", n_draws)
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     chunk = _member_chunk(model.topology.n)

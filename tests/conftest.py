@@ -1,4 +1,4 @@
-"""Shared test helpers: in-process CLI runner and small field builders."""
+"""Shared test helpers: in-process CLI runner, small field builders and summary files."""
 
 import contextlib
 import io
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cpci.cli import main as cli_main
-from cpci.grid import Ensemble, GridTopology, save_ensemble
+from cpci.grid import Ensemble, GridTopology, load_summary, save_ensemble, save_summary
 
 
 def run_cli(*argv: str) -> tuple[int, str, str]:
@@ -32,6 +32,17 @@ def grid_field(topology: GridTopology, fn) -> np.ndarray:
 def write_egf(path, topology: GridTopology, members) -> None:
     with open(path, "wb") as handle:
         save_ensemble(Ensemble(topology, np.atleast_2d(members)), handle)
+
+
+def load_summary_file(path):
+    """`load_summary` of the file at `path`: (topology, table, m, gamma)."""
+    with open(path, "rb") as source:
+        return load_summary(source)
+
+
+def save_summary_file(path, table, topology: GridTopology, m: int, gamma: float) -> None:
+    with open(path, "wb") as sink:
+        save_summary(table, topology, m, gamma, sink)
 
 
 @pytest.fixture

@@ -20,9 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from cpci.cli import _read_summary_csv
 from cpci.critical import CriticalType, classify_field, classify_vertex, count_types
-from cpci.grid import Ensemble, GridTopology, build_link
+from cpci.grid import Ensemble, GridTopology, build_link, load_summary
 from cpci.render import GlyphStyle, render_map
 from cpci.stats import (
     ConfidenceLevel,
@@ -345,7 +344,8 @@ def test_criterion_7_sampler_moments():
 
 
 def test_criterion_8_rendering():
-    topology, table, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+    with open(DATA / "summary_4x4.csv", "rb") as source:
+        topology, table, _, _ = load_summary(source)
     style = GlyphStyle()
     first = render_map(table, topology, style)
     second = render_map(table, topology, style)

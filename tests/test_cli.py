@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cpci import cli, grid
-from cpci.cli import _read_summary_csv
 from cpci.critical import TYPE_CODES, CriticalType, classify_field, count_types
 from cpci.grid import GridTopology, load_ensemble
 from cpci.stats import ConfidenceLevel, coverage_experiment
@@ -26,7 +25,7 @@ from cpci.synth import (
     sample_ensemble, save_moment_model,
 )
 
-from conftest import grid_field, run_cli, write_egf
+from conftest import grid_field, load_summary_file, run_cli, save_summary_file, write_egf
 
 DATA = Path(__file__).parent / "data"
 
@@ -165,7 +164,7 @@ class TestEstimate:
             "--gamma", "0.9999999999")
         assert code == 0
         assert out.read_text().splitlines()[0] == "# m=4 gamma=0.9999999999"
-        assert _read_summary_csv(str(out))[3] == 0.9999999999
+        assert load_summary_file(out)[3] == 0.9999999999
         code, stdout, err = run_cli("query", "--input", str(out), "1", "1")
         assert (code, err) == (0, "")
         assert stdout.splitlines()[0] == "vertex (1, 1)  m=4  gamma=0.9999999999"
@@ -434,9 +433,10 @@ SUMMARY_CONTRACT = [
 def read_summary(path):
     """The reader's result: (nx, ny, table bytes, m, gamma), or its message."""
     try:
-        topology, table, m, gamma = _read_summary_csv(str(path))
+        topology, table, m, gamma = load_summary_file(path)
     except ValueError as exc:
-        return str(exc).replace(str(path), "<path>")
+        # The library names no file; the CLI puts the path in front.
+        return f"<path>: {exc}"
     assert table.dtype == np.float64 and table.flags.c_contiguous
     return topology.nx, topology.ny, table.tobytes(), m, gamma
 
@@ -461,7 +461,7 @@ class TestSummaryReader:
     def test_column_wise_parse_alone(self, tmp_path, text, expected, monkeypatch):
         # The text parse defines the format: without the fast path every
         # file reads the same.
-        monkeypatch.setattr(cli, "_parse_chunk", lambda *args: None)
+        monkeypatch.setattr(grid, "_parse_chunk", lambda *args: None)
         path = tmp_path / "summary.csv"
         write_summary(path, text)
         assert read_summary(path) == expected
@@ -474,6 +474,18 @@ class TestSummaryReader:
         write_summary(path, text)
         with mock.patch.object(grid, "_CHUNK_BYTES", 1):
             assert read_summary(path) == expected
+
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in SUMMARY_CONTRACT if isinstance(case[2], str)],
+        ids=[case[0] for case in SUMMARY_CONTRACT if isinstance(case[2], str)])
+    def test_query_and_render_print_the_message_with_the_path(self, tmp_path, text,
+                                                               expected):
+        path, out = tmp_path / "summary.csv", tmp_path / "map.svg"
+        write_summary(path, text)
+        message = f"cpci: error: {expected.replace('<path>', str(path), 1)}\n"
+        assert run_cli("query", "--input", str(path), "0", "0") == (2, "", message)
+        assert run_cli("render", "--input", str(path), "--output", str(out)) == (2, "", message)
+        assert not out.exists()
 
     def test_invalid_utf8_is_an_input_error(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -561,16 +573,16 @@ class TestPlainSummaryEquivalence:
         # the first may be the one that declines.
         with mock.patch.object(grid, "_CHUNK_BYTES", size):
             fast = read_summary(path)
-        with mock.patch.object(cli, "_parse_chunk", lambda *args: None):
+        with mock.patch.object(grid, "_parse_chunk", lambda *args: None):
             column_wise = read_summary(path)
         assert fast == column_wise
 
 
-def column_wise_text_rows(path: str, rows: list[str]) -> np.ndarray:
+def column_wise_text_rows(rows: list[str]) -> np.ndarray:
     """The reference text parse: stripped summary data rows, parsed column-wise.
 
     This was the reader's text parse before it went row by row; it gives
-    the same records and the same message as `cli._parse_text_rows`.
+    the same records and the same message as `grid._parse_text_rows`.
     """
     # Each row is followed by a "\n" cell, which int() and float() reject.
     # The eleven columns below skip every 12th cell, so they parse only if
@@ -586,18 +598,18 @@ def column_wise_text_rows(path: str, rows: list[str]) -> np.ndarray:
         for row in rows:
             fields = row.split(",")
             if len(fields) != 11:
-                raise ValueError(f"{path}: expected 11 fields per row, "
+                raise ValueError("expected 11 fields per row, "
                                  f"got {len(fields)}: {row!r}") from None
             try:
                 int(fields[0]), int(fields[1]), *map(float, fields[2:])
             except ValueError:
-                raise ValueError(f"{path}: malformed row {row!r}") from None
-        raise ValueError(f"{path}: vertex index beyond the 64-bit range") from None
+                raise ValueError(f"malformed row {row!r}") from None
+        raise ValueError("vertex index beyond the 64-bit range") from None
     negative = (i < 0) | (j < 0)
     if negative.any():
         raise ValueError(
-            f"{path}: negative vertex index in row {rows[int(np.argmax(negative))]!r}")
-    records = np.empty(len(rows), cli._SUMMARY_RECORD)
+            f"negative vertex index in row {rows[int(np.argmax(negative))]!r}")
+    records = np.empty(len(rows), grid._SUMMARY_RECORD)
     records["i"], records["j"], records["values"] = i, j, values.T
     return records
 
@@ -617,13 +629,13 @@ def faulty_rows(draw) -> list[str]:
     for k in sorted(faulty, reverse=True):
         mutate_row(draw, rows, k, lines)
     text = summary_text(rows=[",".join(row) for row in rows])
-    return list(cli._content_lines("<path>", text.splitlines(), {}))[1:]
+    return list(grid._content_lines(text.splitlines(), {}))[1:]
 
 
 def parse_result(parse, rows):
     """`parse`'s records as bytes, or its message."""
     try:
-        return parse("<path>", rows).tobytes()
+        return parse(rows).tobytes()
     except ValueError as exc:
         return str(exc)
 
@@ -633,7 +645,7 @@ class TestRowByRowParse:
     @given(faulty_rows())
     def test_same_records_or_message_as_the_column_wise_parse(self, rows):
         assume(rows)
-        row_by_row = parse_result(cli._parse_text_rows, rows)
+        row_by_row = parse_result(grid._parse_text_rows, rows)
         assert row_by_row == parse_result(column_wise_text_rows, rows)
 
 
@@ -653,16 +665,16 @@ def summary_256(tmp_path_factory):
     """A 256x256 summary as `estimate` would write it, and its path."""
     topology = GridTopology(256, 256)
     path = tmp_path_factory.mktemp("summary") / "summary_256.csv"
-    cli._write_text(str(path), cli._summary_csv(writer_table(topology), topology, 50, 0.95))
+    save_summary_file(path, writer_table(topology), topology, 50, 0.95)
     return path
 
 
 @pytest.fixture
 def no_fallback(monkeypatch):
-    def text_parse(path, rows):
-        pytest.fail(f"{path} went through the text parse")
+    def text_parse(rows):
+        pytest.fail("the summary went through the text parse")
 
-    monkeypatch.setattr(cli, "_parse_text_rows", text_parse)
+    monkeypatch.setattr(grid, "_parse_text_rows", text_parse)
 
 
 class TestWriterOutputIsPlain:
@@ -670,8 +682,8 @@ class TestWriterOutputIsPlain:
 
     def assert_reads_back(self, path):
         text = path.read_text()
-        topology, table, m, gamma = _read_summary_csv(str(path))
-        assert "".join(cli._summary_csv(table, topology, m, gamma)) == text
+        topology, table, m, gamma = load_summary_file(path)
+        assert "".join(grid._summary_csv(table, topology, m, gamma)) == text
 
     def test_golden_summary(self, no_fallback):
         self.assert_reads_back(DATA / "golden_summary.csv")
@@ -681,8 +693,7 @@ class TestWriterOutputIsPlain:
         model = load_moment_model(io.BytesIO((DATA / "golden_model.mmf").read_bytes()))
         table = ground_truth_probabilities(model, 300, 0)
         out = tmp_path / "truth.csv"
-        cli._write_text(str(out), cli._summary_csv(table[:, [0, 0, 0]], model.topology,
-                                                   300, 0.95))
+        save_summary_file(out, table[:, [0, 0, 0]], model.topology, 300, 0.95)
         self.assert_reads_back(out)
 
     def test_zeros_ones_and_exponents_at_256(self, summary_256, no_fallback):
@@ -711,7 +722,7 @@ def peak_tables(path) -> float:
     """The tracemalloc peak of reading a summary, in tables of its size."""
     tracemalloc.start()
     try:
-        _, table, _, _ = _read_summary_csv(str(path))
+        _, table, _, _ = load_summary_file(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -738,21 +749,21 @@ class TestSummaryReadMemory:
 
     def test_late_decline_parses_only_its_tail_as_text(self, late_decline, summary_256,
                                                        monkeypatch):
-        parse_text_rows, seen = cli._parse_text_rows, []
+        parse_text_rows, seen = grid._parse_text_rows, []
 
-        def spy(path, rows):
+        def spy(rows):
             seen.append(rows)
-            return parse_text_rows(path, rows)
+            return parse_text_rows(rows)
 
-        monkeypatch.setattr(cli, "_parse_text_rows", spy)
-        _, table, _, _ = _read_summary_csv(str(late_decline))
+        monkeypatch.setattr(grid, "_parse_text_rows", spy)
+        _, table, _, _ = load_summary_file(late_decline)
         rows = [row.strip() for row in late_decline.read_text().splitlines()[2:]]
         [text_rows] = seen
         # The declined chunk is the last, of at most one chunk and one line.
         assert text_rows == rows[-len(text_rows):]
         assert len("\n".join(text_rows)) <= grid._CHUNK_BYTES + len(rows[-1])
         assert len(text_rows) < len(rows) == 65536
-        assert table.tobytes() == _read_summary_csv(str(summary_256))[1].tobytes()
+        assert table.tobytes() == load_summary_file(summary_256)[1].tobytes()
 
 
 class TestRender:
@@ -765,9 +776,9 @@ class TestRender:
 
     def test_ground_truth_draws_point_estimates(self, tmp_path):
         # --ground-truth draws the map of the table with lo and hi replaced by hat.
-        topology, table, m, gamma = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+        topology, table, m, gamma = load_summary_file(DATA / "summary_4x4.csv")
         hats = tmp_path / "hats.csv"
-        cli._write_text(str(hats), cli._summary_csv(table[:, [0, 0, 0]], topology, m, gamma))
+        save_summary_file(hats, table[:, [0, 0, 0]], topology, m, gamma)
         out, plain = tmp_path / "map.svg", tmp_path / "plain.svg"
         code, _, err = run_cli(
             "render", "--input", str(DATA / "summary_4x4.csv"),
@@ -961,7 +972,7 @@ class TestSynth:
             "synth", "truth", "--input", str(model_file), "--output", str(out),
             "--draws", "300")
         assert code == 0
-        _, table, _, _ = _read_summary_csv(str(out))
+        _, table, _, _ = load_summary_file(out)
         assert (table[:, 1] < table[:, 2]).any()
         code, _, err = run_cli(
             "render", "--input", str(out), "--output", str(tmp_path / "gt.svg"),

@@ -1,6 +1,7 @@
 import io
 import re
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -16,11 +17,15 @@ from cpci.grid import (
     VertexLink,
     build_link,
     load_ensemble,
+    load_summary,
     save_ensemble,
+    save_summary,
 )
 from cpci.synth import MomentModel, load_moment_model, save_moment_model
 
 from conftest import grid_field
+
+DATA = Path(__file__).parent / "data"
 
 
 def load_bytes(data: bytes) -> Ensemble:
@@ -569,3 +574,54 @@ class TestSaveEnsemble:
     def test_seventeen_significant_digits(self):
         data = save_bytes(Ensemble(GridTopology(2, 2), [[1 / 3] * 4]))
         assert b"0.33333333333333331" in data
+
+
+def summary_bytes(table, topology, m, gamma) -> bytes:
+    sink = io.BytesIO()
+    save_summary(table, topology, m, gamma, sink)
+    return sink.getvalue()
+
+
+class TestSummaryHandles:
+    """`save_summary` and `load_summary` on binary handles, with no file names."""
+
+    def assert_round_trip(self, table, topology, m, gamma):
+        written = summary_bytes(table, topology, m, gamma)
+        topology2, table2, m2, gamma2 = load_summary(io.BytesIO(written))
+        assert (topology2, m2, gamma2) == (topology, m, gamma)
+        assert summary_bytes(table2, topology2, m2, gamma2) == written
+
+    def test_fixture_round_trip(self):
+        with open(DATA / "summary_4x4.csv", "rb") as source:
+            topology, table, m, gamma = load_summary(source)
+        self.assert_round_trip(table, topology, m, gamma)
+
+    def test_gamma_that_rounds_to_one_at_9_digits(self):
+        t = GridTopology(3, 2)
+        lo_hat_hi = np.sort(np.random.default_rng(4).uniform(0, 1, (t.n, 3, 3)), axis=-1)
+        table = np.ascontiguousarray(lo_hat_hi[:, :, [1, 0, 2]].transpose(1, 2, 0))
+        self.assert_round_trip(table, t, 12, 0.9999999999)
+
+    def test_message_names_no_file(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        path.write_bytes((DATA / "summary_4x4.csv").read_bytes().replace(b"\n0,1,", b"\n0,x,"))
+        with open(path, "rb") as source, pytest.raises(ValueError) as info:
+            load_summary(source)
+        assert str(info.value).startswith("malformed row '0,x,")
+        assert str(tmp_path) not in str(info.value)
+
+    @pytest.mark.parametrize("m, gamma, message", [
+        (0, 0.95, "metadata m='0' is not an integer >= 1"),
+        (4.0, 0.95, "metadata m='4.0' is not an integer >= 1"),
+        (True, 0.95, "metadata m='True' is not an integer >= 1"),
+        (4, 1.0, "metadata gamma='1.0' is not a confidence level in (0, 1)"),
+    ])
+    def test_writer_rejects_what_the_reader_rejects(self, m, gamma, message):
+        sink = io.BytesIO()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_summary(np.zeros((3, 3, 4)), GridTopology(2, 2), m, gamma, sink)
+        assert sink.getvalue() == b""
+
+    def test_writer_rejects_a_table_of_another_grid(self):
+        with pytest.raises(ValueError, match=re.escape("shape (3, 3, 6), got (3, 3, 4)")):
+            save_summary(np.zeros((3, 3, 4)), GridTopology(3, 2), 4, 0.95, io.BytesIO())

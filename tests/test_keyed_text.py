@@ -15,13 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpci import render
-from cpci.cli import _SUMMARY_HEADER, _read_summary_csv, _summary_csv, _write_text
+from cpci.cli import _write_text
 from cpci.critical import count_types
-from cpci.grid import Ensemble, GridTopology, keyed_text
+from cpci.grid import _SUMMARY_HEADER, Ensemble, GridTopology, _summary_csv, keyed_text
 from cpci.render import GlyphStyle, render_map, render_map_pieces
 from cpci.stats import ConfidenceLevel, summarize
 
-from conftest import run_cli, write_egf
+from conftest import load_summary_file, run_cli, write_egf
 
 DATA = Path(__file__).parent / "data"
 
@@ -209,7 +209,7 @@ class TestKeyedWritersMatchOracles:
                 "0,1,0,0,0.5,0,0,0,0.25,0.1,0.5", "1,1,-0,-0,-0,-0,-0,-0,-0,-0,-0"]
         path = tmp_path / "summary.csv"
         path.write_text("# m=4 gamma=0.95\n" + _SUMMARY_HEADER + "\n" + "\n".join(rows) + "\n")
-        topology, table, _, _ = _read_summary_csv(str(path))
+        topology, table, _, _ = load_summary_file(path)
         assert np.signbit(table).sum() == 13
         assert_writers_match(table, topology)
         assert "".join(_summary_csv(table, topology, 4, 0.95)) == path.read_text()
@@ -223,7 +223,7 @@ class TestKeyedWritersMatchOracles:
         assert_writers_match(np.zeros((3, 3, t.n)), t)
 
     def test_fixture_summary(self):
-        topology, table, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+        topology, table, _, _ = load_summary_file(DATA / "summary_4x4.csv")
         assert_writers_match(table, topology)
 
     @pytest.mark.parametrize("quantise", [False, True])

@@ -22,8 +22,9 @@ PUBLIC_NAMES = [
     "classify_field", "classify_vertex", "compare_vertices", "count_types",
     "coverage_experiment", "estimate_moments", "glyph_radius",
     "ground_truth_probabilities", "jeffreys_interval", "load_ensemble",
-    "load_moment_model", "point_estimate", "regularized_incomplete_beta", "render_map",
-    "sample_ensemble", "save_ensemble", "save_moment_model", "summarize",
+    "load_moment_model", "load_summary", "point_estimate", "regularized_incomplete_beta",
+    "render_map", "sample_ensemble", "save_ensemble", "save_moment_model", "save_summary",
+    "summarize",
 ]
 
 
@@ -74,3 +75,8 @@ def test_readme_library_flow_uses_top_level_imports(tmp_path, monkeypatch):
     assert (namespace["p_hat"], namespace["p_lower"], namespace["p_upper"]) == tuple(
         table[1, :, topology.linear(3, 4)])
     assert namespace["svg"] == module_render_map(table, topology)
+    # The summary reads back with its metadata and the table to 9 digits.
+    assert (namespace["read_topology"], namespace["m"], namespace["gamma"]) == (
+        topology, 7, 0.95)
+    rounded = np.array([float(f"{x:.9g}") for x in table.ravel().tolist()])
+    assert namespace["read_table"].tobytes() == rounded.reshape(table.shape).tobytes()

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpci.grid import GridTopology
+from cpci.grid import GridTopology, load_summary
 from cpci.render import (
     _COLORS,
     GlyphStyle,
@@ -241,9 +241,8 @@ DATA = Path(__file__).parent / "data"
 
 class TestGoldenMap:
     def test_fixture_renders_byte_identical(self):
-        from cpci.cli import _read_summary_csv
-
-        topo, table, _, _ = _read_summary_csv(str(DATA / "summary_4x4.csv"))
+        with open(DATA / "summary_4x4.csv", "rb") as source:
+            topo, table, _, _ = load_summary(source)
         doc = render_map(table, topo, GlyphStyle())
         golden = (DATA / "golden_map_4x4.svg").read_bytes().decode("utf-8")
         assert doc == golden

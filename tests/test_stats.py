@@ -453,6 +453,19 @@ class TestCoverageExperiment:
             with pytest.raises(ValueError, match="ensemble size must be an integer"):
                 coverage_experiment(0.3, m)
 
+    def test_fractional_reps_rejected(self):
+        with pytest.raises(ValueError, match="reps must be an integer, got 10.5"):
+            coverage_experiment(0.3, 9, reps=10.5)
+
+    def test_bool_reps_rejected(self):
+        # True would otherwise run one draw.
+        with pytest.raises(ValueError, match="reps must be an integer, got True"):
+            coverage_experiment(0.3, 9, reps=True)
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+            coverage_experiment(0.3, 9, seed=1.5)
+
     def test_hits_bounded(self):
         with pytest.raises(ValueError):
             CoverageReport(0.5, 9, 0.95, 10, 11, 1.1, 0.1)

@@ -156,6 +156,11 @@ class TestSampleEnsemble:
         with pytest.raises(ValueError):
             sample_ensemble(model, 3, seed=0.5)
 
+    def test_bool_size_rejected(self):
+        # True would otherwise draw a 1-member ensemble.
+        with pytest.raises(ValueError, match="m_out must be an integer, got True"):
+            sample_ensemble(_random_model(), True)
+
 
 def box_muller_stream(seed: int, stop: int, r: int) -> np.ndarray:
     """Members 0..stop-1 of stream version 2, read from the stream's start.
@@ -302,6 +307,10 @@ class TestGroundTruth:
     def test_invalid_draws(self):
         with pytest.raises(ValueError):
             ground_truth_probabilities(_random_model(), 0, seed=1)
+
+    def test_fractional_draws_rejected(self):
+        with pytest.raises(ValueError, match="n_draws must be an integer, got 10.5"):
+            ground_truth_probabilities(_random_model(), 10.5)
 
     @pytest.mark.filterwarnings("error")
     def test_draws_that_overflow_rejected(self):
