@@ -23,7 +23,6 @@ import contextlib
 import itertools
 import os
 import sys
-import tempfile
 from collections.abc import Iterable, Iterator
 from typing import IO
 
@@ -51,12 +50,6 @@ from .synth import (
 
 def _fmt9(value: float) -> str:
     return format(float(value), ".9g")
-
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
 
 
 def _fsync_directory(directory: str) -> None:
@@ -88,15 +81,14 @@ def _atomic_write(path: str) -> Iterator[IO[bytes]]:
     `path`, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = os.path.join(directory, f".cpci-tmp-{os.urandom(8).hex()}")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cpci-tmp-")
+        # Mode 0666 less the umask, as a plain open() would give; os.replace keeps it.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as handle:
-            # mkstemp creates the file 0600 and os.replace keeps that mode;
-            # give it the mode a plain open() would.
-            os.fchmod(handle.fileno(), 0o666 & ~_umask())
             yield handle
             handle.flush()
             os.fsync(handle.fileno())

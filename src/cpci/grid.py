@@ -511,16 +511,40 @@ def _metadata(key: str, value: str):
     raise ValueError(f"metadata {key}={value!r} is not {requirement}")
 
 
+def _check_table(table: np.ndarray, topology: GridTopology) -> None:
+    """Check that a (3, 3, n) table holds probabilities with lo <= hi.
+
+    A ValueError names the first vertex with a value that is not a
+    probability, or else the first with lo > hi.
+    """
+    bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
+    if bad.any():
+        t, stat, v = np.argwhere(bad)[0].tolist()
+        raise ValueError(
+            f"vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + stat]}="
+            f"{float(table[t, stat, v])!r} is not a probability")
+    inverted = table[:, 1] > table[:, 2]
+    if inverted.any():
+        t, v = np.argwhere(inverted)[0].tolist()
+        raise ValueError(
+            f"vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + 1]}="
+            f"{float(table[t, 1, v])!r} exceeds {_SUMMARY_COLUMNS[3 * t + 2]}="
+            f"{float(table[t, 2, v])!r}")
+
+
 def save_summary(table: np.ndarray, topology: GridTopology, m: int, gamma: float,
                  sink: IO[bytes]) -> None:
     """Write a (3, 3, n) table as summary CSV bytes; inverse of load_summary.
 
     Values carry 9 significant digits and gamma the shortest text that
-    reads back to the same double.  Metadata that `load_summary` would
-    reject is a ValueError, raised before anything is written.
+    reads back to the same double.  A table whose values are not
+    probabilities with lo <= hi, or metadata that `load_summary` would
+    reject, is a ValueError with the reader's message, raised before
+    anything is written.
     """
     if np.shape(table) != (3, 3, topology.n):
         raise ValueError(f"table must have shape (3, 3, {topology.n}), got {np.shape(table)}")
+    _check_table(table, topology)
     _metadata("m", str(m))
     _metadata("gamma", repr(float(gamma)))
     sink.writelines(map(str.encode, _summary_csv(table, topology, m, gamma)))
@@ -546,28 +570,27 @@ def _content_lines(lines: Iterable[str], metadata: dict) -> Iterator[str]:
 def _summary_text(handle: IO[bytes], records: list[np.ndarray]) -> bytes:
     """The bytes of a summary left to its text parse; plain rows go to `records`.
 
-    The head, the blank and `#` comment lines up to the header line, is
-    always left.  After the header, each chunk of whole lines that numpy's
-    C text reader parses in one step (`_parse_chunk`) with no negative
-    index is appended to `records`; from the first chunk that declines,
-    the rest of the file is left too.  Such a chunk holds no spaces,
-    quotes, `_` or letters but `e` and `E`, and the C reader reads its
-    cells as int() and float() do.
+    The head, every line up to and including the header line that ends
+    in LF, is always left.  After it, each chunk of whole lines that
+    numpy's C text reader parses in one step (`_parse_chunk`) with no
+    negative index is appended to `records`, and every other chunk is
+    left, as `stream_blocks` leaves it to its line parse.  Such a chunk
+    holds no spaces, quotes, `_` or letters but `e` and `E`, and the C
+    reader reads its cells as int() and float() do.
     """
-    head = []
+    text = []
     for raw in handle:
-        head.append(raw)
+        text.append(raw)
         if raw == _SUMMARY_HEADER_LINE:
             break
-        if raw.strip()[:1] not in (b"", b"#"):
-            return b"".join(head) + handle.read()
     for chunk in _line_chunks(handle):
         # No chunk has more lines than bytes, so its length is no bound.
         rows = _parse_chunk(chunk, 1, len(chunk), _SUMMARY_PLAIN, ",", _SUMMARY_RECORD)
         if rows is None or (rows["i"] < 0).any() or (rows["j"] < 0).any():
-            return b"".join(head) + chunk + handle.read()
-        records.append(rows[:, 0])
-    return b"".join(head)
+            text.append(chunk)
+        else:
+            records.append(rows[:, 0])
+    return b"".join(text)
 
 
 def _parse_text_rows(rows: list[str]) -> np.ndarray:
@@ -606,16 +629,17 @@ def load_summary(source: IO[bytes]):
     Returns (topology, table, m, gamma); m and gamma are None when the
     metadata comment is absent, and an error when present but not an
     integer >= 1 and a level in (0, 1).  Plain rows after the header are
-    parsed in chunks through numpy's C text reader (`_summary_text`).  The
-    rest of the file, from the first chunk that declines, is parsed as
-    text together with the head: the comments are scanned for metadata
-    and the rows go to `_parse_text_rows`, which parses them one at a
-    time.  This text parse defines the summary format and every message
-    of a file it rejects.  Plain rows are ASCII, hold no `#` and are valid
-    rows with indices >= 0, so leaving them out of the text changes no
-    result or message.  The row count is checked against the grid the
-    indices span before any per-vertex array is allocated.  Messages name
-    no file; a caller that opened one adds its name.
+    parsed in chunks through numpy's C text reader (`_summary_text`).
+    Each chunk it declines is parsed as text, together with the head and
+    the other declined chunks in file order: the comments are scanned for
+    metadata and the rows go to `_parse_text_rows`, which parses them one
+    at a time.  This text parse defines the summary format and every
+    message of a file it rejects.  Plain rows are ASCII, hold no `#` and
+    are valid rows with indices >= 0, so leaving them out of the text
+    changes no result or message.  The row count is checked against the
+    grid the indices span before any per-vertex array is allocated, and
+    the values by `_check_table`.  Messages name no file; a caller that
+    opened one adds its name.
     """
     records = []
     try:
@@ -657,17 +681,5 @@ def load_summary(source: IO[bytes]):
             f"missing vertex ({first % nx}, {first // nx}); {rows} rows "
             f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
     table = values.take(order, axis=1).reshape(3, 3, topology.n)
-    bad = ~(np.isfinite(table) & (table >= 0.0) & (table <= 1.0))
-    if bad.any():
-        t, stat, v = np.argwhere(bad)[0].tolist()
-        raise ValueError(
-            f"vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + stat]}="
-            f"{float(table[t, stat, v])!r} is not a probability")
-    inverted = table[:, 1] > table[:, 2]
-    if inverted.any():
-        t, v = np.argwhere(inverted)[0].tolist()
-        raise ValueError(
-            f"vertex {topology.coords(v)} {_SUMMARY_COLUMNS[3 * t + 1]}="
-            f"{float(table[t, 1, v])!r} exceeds {_SUMMARY_COLUMNS[3 * t + 2]}="
-            f"{float(table[t, 2, v])!r}")
+    _check_table(table, topology)
     return topology, table, metadata.get("m"), metadata.get("gamma")

@@ -15,8 +15,9 @@ bisection-safeguarded Newton steps converging in q-space.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from statistics import NormalDist
 
 import numpy as np
@@ -380,8 +381,10 @@ def coverage_experiment(
     counts = np.flatnonzero(frequencies)
     lower, upper = _bounds(counts, m, level.gamma).T
     hits = int(frequencies[counts][(lower <= p_true) & (p_true <= upper)].sum())
-    # A plain sum in count order: numpy's pairwise sum could move the last bit.
-    width_total = sum((frequencies[counts] * (upper - lower)).tolist(), 0.0)
+    # A plain left-to-right sum in count order: numpy's pairwise sum, and the
+    # compensated built-in sum of Python 3.12, could move the last bit.
+    widths = (frequencies[counts] * (upper - lower)).tolist()
+    width_total = reduce(operator.add, widths, 0.0)
     return CoverageReport(
         p_true=p_true,
         m=m,

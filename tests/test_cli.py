@@ -468,8 +468,8 @@ class TestSummaryReader:
 
     @summary_contract
     def test_in_one_line_chunks(self, tmp_path, text, expected):
-        # Each line is a chunk of its own, so the plain rows before a line
-        # that declines are parsed in one step and the rest as text.
+        # Each line is a chunk of its own, so every plain row is parsed in
+        # one step and each line that declines as text.
         path = tmp_path / "summary.csv"
         write_summary(path, text)
         with mock.patch.object(grid, "_CHUNK_BYTES", 1):
@@ -718,6 +718,15 @@ def crlf_copy(summary_256, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def note_after_header(summary_256, tmp_path_factory):
+    """`summary_256` with a `# note` line after its header: only the first chunk declines."""
+    path = tmp_path_factory.mktemp("summary") / "note.csv"
+    meta, header, body = summary_256.read_bytes().split(b"\n", 2)
+    path.write_bytes(b"\n".join([meta, header, b"# note", body]))
+    return path
+
+
 def peak_tables(path) -> float:
     """The tracemalloc peak of reading a summary, in tables of its size."""
     tracemalloc.start()
@@ -737,10 +746,28 @@ class TestSummaryReadMemory:
         assert peak_tables(summary_256) <= 4.5
 
     def test_crlf_within_a_few_tables(self, crlf_copy):
-        # Measured 5.2 tables: the decoded text and its lines, and the
+        # Measured 6.0 tables: the decoded text and its lines, and the
         # parsed values.  A column-wise parse, whose cells are one str
         # each, measured 13.7.
         assert peak_tables(crlf_copy) <= 6
+
+    def test_note_after_the_header_parses_one_chunk_as_text(self, note_after_header,
+                                                            summary_256, monkeypatch):
+        parse_text_rows, seen = grid._parse_text_rows, []
+
+        def spy(rows):
+            seen.append(rows)
+            return parse_text_rows(rows)
+
+        monkeypatch.setattr(grid, "_parse_text_rows", spy)
+        _, table, _, _ = load_summary_file(note_after_header)
+        rows = [row.strip() for row in note_after_header.read_text().splitlines()[3:]]
+        [text_rows] = seen
+        # The declined chunk is the first, of at most one chunk and one line.
+        assert text_rows == rows[:len(text_rows)]
+        assert len("\n".join(text_rows)) <= grid._CHUNK_BYTES + len(rows[0])
+        assert table.tobytes() == load_summary_file(summary_256)[1].tobytes()
+        assert peak_tables(note_after_header) <= 4.5
 
     def test_late_decline_within_a_few_tables(self, late_decline):
         # The rows before the declined chunk stay parsed; a second parse of
@@ -1102,6 +1129,32 @@ class TestExitCodes:
             "--output", str(out), "--sizes", "1000000000000")
         assert (code, stdout, err) == (2, "", f"cpci: error: {message}\n")
         assert not out.exists()
+
+    def test_writes_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        # Setting the umask, even for a moment, would change the mode of
+        # files that another thread creates meanwhile.
+        def umask(mask):
+            raise AssertionError("os.umask called")
+
+        monkeypatch.setattr(os, "umask", umask)
+        out = tmp_path / "cov.csv"
+        code, _, err = run_cli(
+            "coverage", "--p", "0.5", "--m", "9", "--reps", "10", "--output", str(out))
+        assert (code, err) == (0, "")
+        assert out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["coverage", "--p", ",", "--m", "9"], "--p must list at least one value"),
+        (["synth", "sample", "--input", str(DATA / "golden_model.mmf"), "--sizes", "4",
+          "--count", "0"], "--count must be >= 1, got 0"),
+        (["render", "--input", str(DATA / "summary_4x4.csv"), "--cell", "0"],
+         "cell must be positive, got 0.0"),
+    ], ids=["coverage-empty-p", "sample-count-0", "render-cell-0"])
+    def test_argument_errors_write_nothing(self, tmp_path, argv, message):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(*argv, "--output", str(out))
+        assert (code, stdout, err) == (2, "", f"cpci: error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
     def test_outputs_get_the_umask_mode(self, tmp_path, umask):

@@ -625,3 +625,22 @@ class TestSummaryHandles:
     def test_writer_rejects_a_table_of_another_grid(self):
         with pytest.raises(ValueError, match=re.escape("shape (3, 3, 6), got (3, 3, 4)")):
             save_summary(np.zeros((3, 3, 4)), GridTopology(3, 2), 4, 0.95, io.BytesIO())
+
+    @pytest.mark.parametrize("cell, value, message", [
+        ((1, 0, 3), 1.5, "vertex (1, 1) max_hat=1.5 is not a probability"),
+        ((2, 2, 1), np.nan, "vertex (1, 0) sad_hi=nan is not a probability"),
+        ((0, 1, 2), 0.75, "vertex (0, 1) min_lo=0.75 exceeds min_hi=0.5"),
+    ], ids=["above-one", "nan", "lo-above-hi"])
+    def test_writer_rejects_a_table_the_reader_rejects(self, cell, value, message):
+        topology = GridTopology(2, 2)
+        table = np.full((3, 3, 4), 0.5)
+        table[cell] = value
+        sink = io.BytesIO()
+        with pytest.raises(ValueError) as info:
+            save_summary(table, topology, 4, 0.95, sink)
+        assert str(info.value) == message
+        assert sink.getvalue() == b""
+        # The writer's message is the one the reader gives for the same table.
+        text = "".join(grid._summary_csv(table, topology, 4, 0.95)).encode()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            load_summary(io.BytesIO(text))
