@@ -77,8 +77,8 @@ def _atomic_write(path: str) -> Iterator[IO[bytes]]:
     The only code that creates, renames or removes an output file.  The
     file and then its directory are fsynced, so a completed output
     survives a crash; on any failure the temp file is removed and an
-    existing `path` keeps its bytes.  An error making the temp file names
-    `path`, not the temp file.
+    existing `path` keeps its bytes.  An error making or renaming the temp
+    file names `path` alone, not the temp file.
     """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     tmp = os.path.join(directory, f".cpci-tmp-{os.urandom(8).hex()}")
@@ -92,7 +92,10 @@ def _atomic_write(path: str) -> Iterator[IO[bytes]]:
             yield handle
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(tmp)

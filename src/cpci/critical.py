@@ -163,19 +163,20 @@ def _classify_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:
 
 
 def _member_chunk(n: int) -> int:
-    # About 10^6 member-vertices per chunk.  Each holds at most ~10 bytes of
-    # kernel and tally workspace at once: the uint8 code, intp table index
-    # and int8 type (the comparison and its shifted copies are freed before
-    # the index is built), later the int8 type and a bool tally mask.  Add
-    # the float64 values when ground truth draws the chunk or an EGF stream
-    # parses it: ~30 MB.
+    # About 2^17 member-vertices per chunk: 8 bytes of float64 values each,
+    # when ground truth draws the chunk or an EGF stream parses it, plus at
+    # most ~11 bytes of kernel and tally workspace at once: the uint8 code,
+    # intp table index and int8 type (the comparison and its shifted copies
+    # are freed before the index is built), later the int8 type and a bool
+    # tally mask.  That is ~2.4 MiB per chunk.
     # The stream allocates a chunk only after the tally has the previous
     # one, so it holds at most two chunks of values, whatever m is.  The
     # sampler's (k, B) uniform and normal buffers add 16 B bytes per member,
     # B = r rounded up to a multiple of 4: 384 bytes beside 2 KiB of values
     # at 16x16 with r = 21, and under the values' 8 n bytes while B < n / 2.
-    # Larger chunks measured no faster.
-    return max(1, 1_000_000 // max(n, 1))
+    # Chunks of 1.25x10^5 to 10^6 member-vertices measured equally fast;
+    # 6.25x10^4 and 2.5x10^6 or more measured slower.
+    return max(1, (1 << 17) // max(n, 1))
 
 
 def _tally(blocks: Iterable[np.ndarray], topology: GridTopology) -> np.ndarray:

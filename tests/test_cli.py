@@ -1109,6 +1109,19 @@ class TestExitCodes:
         leftovers = [n for n in os.listdir(tmp_path) if n.startswith(".cpci-tmp-")]
         assert leftovers == []
 
+    def test_failed_rename_is_named_by_the_output(self, tmp_path, topo33):
+        # The rename over a directory fails after the temp file is written;
+        # the error names the output alone, not the removed temp file.
+        egf = tmp_path / "in.egf"
+        target = tmp_path / "occupied"
+        target.mkdir()
+        write_egf(egf, topo33, bump(topo33))
+        code, _, err = run_cli("estimate", "--input", str(egf), "--output", str(target))
+        assert code == 2
+        assert err == f"cpci: error: [Errno 21] Is a directory: {str(target)!r}\n"
+        assert list(tmp_path.glob(".cpci-tmp-*")) == []
+        assert os.listdir(target) == []
+
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 58.2 TiB for an array with shape "
                      "(1000000000000, 64) and data type float64"),
