@@ -16,12 +16,16 @@ with the smaller index.  One rule breaks every tie: the end with the
 larger index wins.  So `values[:, d:] >= values[:, :n - d]`, one
 comparison per edge direction of the (m, n) values against themselves
 shifted by d, is bit k ("neighbor higher") at v, and its negation is bit
-k + 3 at v + d.  The six bits pack into a 6-bit code, and a 64x64 table
-indexed by (in-grid directions, higher directions) gives the type.  The
-table is built once at import from the same run-count rule as
+k + 3 at v + d.  The six bits pack into a 6-bit code.  Which directions
+are in-grid depends only on whether a vertex lies on the first, an inner
+or the last column and row, so there are nine kinds of vertex, and a
+(9, 64) table indexed by (kind of vertex, higher directions) gives the
+type.  The table is built once at import from the same run-count rule as
 `classify_vertex`, applied to the links `build_link` gives the nine
-vertices of a 3x3 grid.  It ignores the bits of out-of-grid directions,
-which is where a shift that wraps across a row end lands.
+vertices of a 3x3 grid.  Each row ignores the bits of its out-of-grid
+directions, which is where a shift that wraps across a row end lands.
+Each vertex's row depends only on the grid, so it is found once per
+tally, not once per block of members.
 """
 
 from __future__ import annotations
@@ -116,50 +120,54 @@ def classify_vertex(
 
 
 def _build_type_table() -> np.ndarray:
-    """int8 type of every (valid, bits) pair of 6-bit direction masks.
+    """int8 type of every kind of vertex and 6-bit direction mask: (9, 64).
 
-    Bit k stands for direction `_LINK_OFFSETS[k]`: in `valid` it marks an
-    in-grid neighbor, in `bits` a higher one; bits of out-of-grid
-    directions do not change the type.  Which directions are in-grid
-    depends only on whether a vertex lies on the first, last or an inner
-    column and row, so the nine vertices of a 3x3 grid carry every `valid`
-    mask a grid of at least 2x2 has; each is classified by `build_link`'s
-    order and `_classify_signs`.  Masks of no grid stay 0.
+    Row 3j + i is vertex (i, j) of a 3x3 grid, whose first, inner and last
+    columns and rows carry every set of in-grid directions a grid of at
+    least 2x2 has.  Bit k of the mask marks a higher neighbor in direction
+    `_LINK_OFFSETS[k]`; bits of out-of-grid directions do not change the
+    type.  Each mask is classified by `build_link`'s order and
+    `_classify_signs`.
     """
-    table = np.zeros((64, 64), dtype=np.int8)
+    table = np.zeros((9, 64), dtype=np.int8)
     grid = GridTopology(3, 3)
     for j in range(3):
         for i in range(3):
             link = build_link(grid, (i, j))
             order = [_LINK_OFFSETS.index((a - i, b - j)) for a, b in link.neighbors]
-            valid = sum(1 << k for k in order)
             for bits in range(64):
-                if bits & ~valid == 0:
-                    signs = [bool(bits >> k & 1) for k in order]
-                    table[valid, bits] = _classify_signs(signs, link.closed)
-    masks = np.arange(64)
-    return table[masks[:, None], masks[:, None] & masks]
+                signs = [bool(bits >> k & 1) for k in order]
+                table[3 * j + i, bits] = _classify_signs(signs, link.closed)
+    return table
 
 
 _TYPE_TABLE = _build_type_table()
 
 
-def _classify_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:
-    """Classify every vertex of every member: (m, n) values -> int8 codes."""
+def _table_rows(topology: GridTopology) -> np.ndarray:
+    """Each vertex's offset into the flattened `_TYPE_TABLE`: (n,) integers."""
     _require_links(topology)
-    nx, ny, n = topology.nx, topology.ny, topology.n
+    ikind, jkind = (np.repeat(np.arange(3), [1, size - 2, 1])
+                    for size in (topology.nx, topology.ny))
+    return (64 * (3 * jkind[:, None] + ikind)).ravel()
+
+
+def _classify_codes(
+        values: np.ndarray, topology: GridTopology, rows: np.ndarray) -> np.ndarray:
+    """Classify every vertex of every member: (m, n) values -> int8 codes.
+
+    `rows` is `_table_rows(topology)`.
+    """
+    nx, n = topology.nx, topology.n
     bits = np.zeros(values.shape, dtype=np.uint8)
-    valid = np.zeros((ny, nx), dtype=np.uint8)
     for k, (di, dj) in enumerate(_LINK_OFFSETS[:3]):
         d = di + dj * nx
         higher = (values[:, d:] >= values[:, :n - d]).view(np.uint8)
         bits[:, :n - d] |= higher << k
         bits[:, d:] |= (higher ^ 1) << k + 3
-        valid[:ny - dj, :nx - di] |= 1 << k
-        valid[dj:, di:] |= 1 << k + 3
     # Freed before the table index, the kernel's largest array, is built.
     del higher
-    return _TYPE_TABLE.ravel().take((valid.reshape(n).astype(np.intp) << 6) + bits)
+    return _TYPE_TABLE.ravel().take(rows + bits)
 
 
 def _member_chunk(n: int) -> int:
@@ -182,14 +190,14 @@ def _member_chunk(n: int) -> int:
 def _tally(blocks: Iterable[np.ndarray], topology: GridTopology) -> np.ndarray:
     """Per-vertex (min, max, saddle) counts over (k, n) member blocks: (3, n).
 
-    The topology is checked before the first block is produced, so a lazy
-    source (the sampler, a streamed EGF) does no work for a grid that cannot
-    be classified.
+    The topology is checked, and each vertex's table row found, before the
+    first block is produced, so a lazy source (the sampler, a streamed EGF)
+    does no work for a grid that cannot be classified.
     """
-    _require_links(topology)
+    rows = _table_rows(topology)
     totals = np.zeros((3, topology.n), dtype=np.int64)
     for block in blocks:
-        codes = _classify_codes(block, topology)
+        codes = _classify_codes(block, topology, rows)
         for row, ctype in enumerate(
                 (CriticalType.MINIMUM, CriticalType.MAXIMUM, CriticalType.SADDLE)):
             totals[row] += np.count_nonzero(codes == ctype, axis=0)
@@ -206,7 +214,7 @@ def classify_field(field: np.ndarray, topology: GridTopology) -> np.ndarray:
         raise ValueError(f"field must have shape ({topology.n},), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("field values must be finite")
-    return _classify_codes(arr[None, :], topology)[0]
+    return _classify_codes(arr[None, :], topology, _table_rows(topology))[0]
 
 
 def count_types(e: Ensemble) -> np.recarray:

@@ -70,7 +70,9 @@ class GlyphStyle:
 
 def glyph_radius(p: float, r_max: float) -> float:
     """Radius encoding probability p: r_max * sqrt(p), so area tracks p."""
-    if not (isinstance(p, (int, float)) and math.isfinite(p) and 0.0 <= p <= 1.0):
+    # numpy scalars are real numbers too; a bool is not a probability.
+    real = isinstance(p, (int, float, np.integer, np.floating)) and not isinstance(p, bool)
+    if not (real and math.isfinite(p) and 0.0 <= p <= 1.0):
         raise ValueError(f"p={p!r} is not a probability")
     return r_max * math.sqrt(p)
 

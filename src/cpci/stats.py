@@ -136,10 +136,10 @@ def _check_seed(seed: int) -> int:
     return int(seed)
 
 
-def _check_size(m: int) -> None:
-    _check_integer("ensemble size", m)
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
+def _check_size(name: str, value) -> None:
+    _check_integer(name, value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _check_level(level) -> None:
@@ -282,7 +282,7 @@ def beta_quantile(q: float, a: float, b: float) -> float:
 def point_estimate(c: int, m: int) -> float:
     """Occurrence probability estimate c/m."""
     _check_integer("count c", c)
-    _check_size(m)
+    _check_size("ensemble size", m)
     if not 0 <= c <= m:
         raise ValueError(f"count c={c} outside [0, m={m}]")
     return c / m
@@ -333,7 +333,7 @@ def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndar
     if counts.ndim != 2 or counts.shape[0] != 3 or counts.dtype.kind not in "iu":
         raise ValueError(
             f"counts must be a (3, n) integer array, got {counts.dtype} {counts.shape}")
-    _check_size(m)
+    _check_size("ensemble size", m)
     _check_level(level)
     outside = (counts < 0) | (counts > m)
     if outside.any():
@@ -367,10 +367,8 @@ def coverage_experiment(
     count is evaluated once and weighted by its frequency.
     """
     p_true = _check_unit("p_true", p_true)
-    _check_size(m)
-    _check_integer("reps", reps)
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    _check_size("ensemble size", m)
+    _check_size("reps", reps)
     _check_level(level)
     rng = np.random.default_rng(_check_seed(seed))
     frequencies = np.zeros(m + 1, dtype=np.int64)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .critical import _member_chunk, _tally
 from .grid import Ensemble, GridTopology, stream_blocks, write_blocks
-from .stats import ConfidenceLevel, DEFAULT_LEVEL, _check_integer, _check_seed, summarize
+from .stats import ConfidenceLevel, DEFAULT_LEVEL, _check_seed, _check_size, summarize
 
 __all__ = [
     "MomentModel",
@@ -123,9 +123,7 @@ def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.nd
 def sample_ensemble(model: MomentModel, m_out: int, seed: int = 0) -> Ensemble:
     """Draw m_out members from the Gaussian model, deterministically in seed."""
     seed = _check_seed(seed)
-    _check_integer("m_out", m_out)
-    if m_out < 1:
-        raise ValueError(f"m_out must be >= 1, got {m_out}")
+    _check_size("m_out", m_out)
     return Ensemble(model.topology, _draw_members(model, 0, m_out, seed))
 
 
@@ -145,9 +143,7 @@ def ground_truth_probabilities(
     overflow float64 is a ValueError, as in `sample_ensemble`.
     """
     seed = _check_seed(seed)
-    _check_integer("n_draws", n_draws)
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
+    _check_size("n_draws", n_draws)
     chunk = _member_chunk(model.topology.n)
     counts = _tally(
         (_draw_members(model, start, min(start + chunk, n_draws), seed)

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from cpci import critical
 from cpci.critical import (
-    _TYPE_TABLE,
     CriticalType,
     _classify_codes,
+    _table_rows,
+    _tally,
     classify_field,
     classify_vertex,
     compare_vertices,
@@ -240,6 +242,31 @@ def kernel_fields(kind: str, m: int, n: int) -> np.ndarray:
     return values
 
 
+def oracle_type_table() -> np.ndarray:
+    """int8 type of every (valid, bits) pair of 6-bit direction masks.
+
+    The kernel's table before it was indexed by kind of vertex: bit k stands
+    for direction `_LINK_OFFSETS[k]`, in `valid` an in-grid neighbor, in
+    `bits` a higher one.  The nine vertices of a 3x3 grid carry every
+    `valid` mask of a grid of at least 2x2; each pattern is typed by
+    `oracle_classify`, and bits outside `valid` do not change the type.
+    """
+    table = np.zeros((64, 64), dtype=np.int8)
+    grid = GridTopology(3, 3)
+    for j in range(3):
+        for i in range(3):
+            link = build_link(grid, (i, j))
+            order = [_LINK_OFFSETS.index((a - i, b - j)) for a, b in link.neighbors]
+            valid = sum(1 << k for k in order)
+            for bits in range(64):
+                signs = tuple(bool(bits >> k & 1) for k in order)
+                table[valid, bits] = oracle_classify(signs, link.closed)
+    return table
+
+
+ORACLE_TYPE_TABLE = oracle_type_table()
+
+
 def six_comparison_codes(values: np.ndarray, topology: GridTopology) -> np.ndarray:
     """The kernel before one comparison per edge: every link direction is
     compared from its own end, `nb >= c` where the neighbor has the larger
@@ -255,7 +282,7 @@ def six_comparison_codes(values: np.ndarray, topology: GridTopology) -> np.ndarr
         else:
             bits[:, -d:] |= (values[:, :n + d] > values[:, -d:]).view(np.uint8) << k
         valid[max(0, -dj):ny - max(0, dj), max(0, -di):nx - max(0, di)] |= 1 << k
-    return _TYPE_TABLE.ravel().take((valid.reshape(n).astype(np.intp) << 6) + bits)
+    return ORACLE_TYPE_TABLE.ravel().take((valid.reshape(n).astype(np.intp) << 6) + bits)
 
 
 @st.composite
@@ -274,7 +301,7 @@ class TestClassifyCodes:
     def test_every_vertex_matches_classify_vertex(self, nx, ny, kind):
         t = GridTopology(nx, ny)
         values = kernel_fields(kind, 3, t.n)
-        codes = _classify_codes(values, t)
+        codes = _classify_codes(values, t, _table_rows(t))
         assert codes.shape == values.shape and codes.dtype == np.int8
         for j in range(ny):
             for i in range(nx):
@@ -295,7 +322,8 @@ class TestClassifyCodes:
                 for member, signs in zip(values, patterns):
                     for (a, b), higher in zip(link.neighbors, signs):
                         member[topo33.linear(a, b)] = 1.0 if higher else -1.0
-                codes = _classify_codes(values, topo33)[:, topo33.linear(i, j)]
+                codes = _classify_codes(values, topo33, _table_rows(topo33))
+                codes = codes[:, topo33.linear(i, j)]
                 expected = [oracle_classify(signs, link.closed) for signs in patterns]
                 assert codes.tolist() == expected, (i, j)
 
@@ -305,21 +333,57 @@ class TestClassifyCodes:
         # Nearly every edge is a tie, so the index tie-break decides most bits.
         values, topology = block
         assert np.array_equal(
-            _classify_codes(values, topology), six_comparison_codes(values, topology))
+            _classify_codes(values, topology, _table_rows(topology)),
+            six_comparison_codes(values, topology))
 
     def test_peak_workspace_per_member_vertex(self):
         # The intp table index (8 bytes), the uint8 code and the int8 types
         # are live together; a comparison kept alive past the loop adds one.
         t = GridTopology(128, 128)
         values = np.round(np.random.default_rng(61).normal(size=(61, t.n)) * 4) / 4
-        _classify_codes(values[:1], t)
+        rows = _table_rows(t)
+        _classify_codes(values[:1], t, rows)
         tracemalloc.start()
         try:
-            _classify_codes(values, t)
+            _classify_codes(values, t, rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 10.5 * values.size, peak / values.size
+
+
+class TestTally:
+    def test_grid_work_is_done_once_per_tally(self, monkeypatch):
+        # Five blocks, one table-row lookup and one grid check: the kernel
+        # itself does only per-member work.
+        calls = []
+
+        def spy(name, real):
+            def wrapper(topology):
+                calls.append(name)
+                return real(topology)
+            monkeypatch.setattr(f"cpci.critical.{name}", wrapper)
+
+        spy("_table_rows", _table_rows)
+        spy("_require_links", critical._require_links)
+        t = GridTopology(6, 5)
+        values = np.round(np.random.default_rng(53).normal(size=(15, t.n)))
+        counts = _tally(iter(np.split(values, 5)), t)
+        assert calls == ["_table_rows", "_require_links"]
+        monkeypatch.undo()
+        expected = count_types(Ensemble(t, values))
+        assert np.array_equal(counts, [expected.c_min, expected.c_max, expected.c_saddle])
+
+    def test_grid_checked_before_the_first_block(self):
+        pulled = []
+
+        def blocks():
+            pulled.append(True)
+            yield np.zeros((1, 5))
+
+        with pytest.raises(ValueError, match="2x2"):
+            _tally(blocks(), GridTopology(5, 1))
+        assert pulled == []
 
 
 # --- count_types --------------------------------------------------------

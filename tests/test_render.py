@@ -59,6 +59,12 @@ class TestGlyphRadius:
         with pytest.raises(ValueError):
             glyph_radius(p, 18.0)
 
+    def test_numpy_scalars_accepted_and_bool_rejected(self):
+        assert glyph_radius(np.float32(0.25), 18) == 9.0
+        assert glyph_radius(np.int64(1), 18) == 18.0
+        with pytest.raises(ValueError, match="p=True is not a probability"):
+            glyph_radius(True, 18)
+
 
 class TestGlyphGeometry:
     def test_sectors_are_fixed_120_degree_slices(self):

@@ -18,6 +18,8 @@ from cpci.stats import (
     regularized_incomplete_beta,
     summarize,
 )
+from cpci.grid import GridTopology
+from cpci.synth import MomentModel, ground_truth_probabilities, sample_ensemble
 
 
 # --- independent oracle -------------------------------------------------
@@ -469,3 +471,20 @@ class TestCoverageExperiment:
     def test_hits_bounded(self):
         with pytest.raises(ValueError):
             CoverageReport(0.5, 9, 0.95, 10, 11, 1.1, 0.1)
+
+
+# --- count-like arguments -----------------------------------------------
+
+MODEL_2X2 = MomentModel(GridTopology(2, 2), np.zeros(4), np.eye(4))
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (point_estimate, (0, 0), "ensemble size must be >= 1, got 0"),
+    (coverage_experiment, (0.5, 9, DEFAULT_LEVEL, 0), "reps must be >= 1, got 0"),
+    (sample_ensemble, (MODEL_2X2, 0), "m_out must be >= 1, got 0"),
+    (ground_truth_probabilities, (MODEL_2X2, 0), "n_draws must be >= 1, got 0"),
+], ids=["m", "reps", "m_out", "n_draws"])
+def test_zero_count_names_its_argument(call, args, message):
+    with pytest.raises(ValueError) as excinfo:
+        call(*args)
+    assert str(excinfo.value) == message
