@@ -4,7 +4,7 @@ Every subcommand composes module operations and writes each output file
 through one atomic sink, `_atomic_write`: writers write straight into a
 temp file, which is synced and renamed over the output only when they
 finish, so failures never leave partial output.  Binary writers write
-into the sink's handle; text writers hand it a sequence of `str` pieces,
+into the sink's handle; text writers hand it an iterable of `str` pieces,
 encoded one at a time, so no output is held whole as text or bytes.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
 The summary CSV format is `grid`'s (`save_summary`, `load_summary`);

@@ -13,17 +13,19 @@ index `center + d` with `d = di + dj*nx`, and direction k + 3 of
 `grid._LINK_OFFSETS` is the opposite of direction k.  The first three
 directions have d > 0, so they name every grid edge once, from its end
 with the smaller index.  One rule breaks every tie: the end with the
-larger index wins.  So `values[:, d:] >= values[:, :n - d]`, one
-comparison per edge direction of the (m, n) values against themselves
-shifted by d, is bit k ("neighbor higher") at v, and its negation is bit
-k + 3 at v + d.  The six bits pack into a 6-bit code.  Which directions
-are in-grid depends only on whether a vertex lies on the first, an inner
-or the last column and row, so there are nine kinds of vertex, and a
-(9, 64) table indexed by (kind of vertex, higher directions) gives the
-type.  The table is built once at import from the same run-count rule as
-`classify_vertex`, applied to the links `build_link` gives the nine
-vertices of a 3x3 grid.  Each row ignores the bits of its out-of-grid
-directions, which is where a shift that wraps across a row end lands.
+larger index wins.  The (m, n) values are compared as one flat array,
+members end to end, so `flat[d:] >= flat[:-d]`, one comparison per edge
+direction of the values against themselves shifted by d, is bit k
+("neighbor higher") at v, and its negation is bit k + 3 at v + d.  The
+six bits pack into a 6-bit code.  Which directions are in-grid depends
+only on whether a vertex lies on the first, an inner or the last column
+and row, so there are nine kinds of vertex, and a (9, 64) table indexed
+by (kind of vertex, higher directions) gives the type.  The table is
+built once at import from the same run-count rule as `classify_vertex`,
+applied to the links `build_link` gives the nine vertices of a 3x3 grid.
+Each row ignores the bits of its out-of-grid directions, which is where
+a shift lands that wraps across a row end, or from one member's last
+rows into the next member's first.
 Each vertex's row depends only on the grid, so it is found once per
 tally, not once per block of members.
 """
@@ -158,16 +160,16 @@ def _classify_codes(
 
     `rows` is `_table_rows(topology)`.
     """
-    nx, n = topology.nx, topology.n
-    bits = np.zeros(values.shape, dtype=np.uint8)
+    flat = values.reshape(-1)
+    bits = np.zeros(flat.shape, dtype=np.uint8)
     for k, (di, dj) in enumerate(_LINK_OFFSETS[:3]):
-        d = di + dj * nx
-        higher = (values[:, d:] >= values[:, :n - d]).view(np.uint8)
-        bits[:, :n - d] |= higher << k
-        bits[:, d:] |= (higher ^ 1) << k + 3
+        d = di + dj * topology.nx
+        higher = (flat[d:] >= flat[:-d]).view(np.uint8)
+        bits[:-d] |= higher << k
+        bits[d:] |= (higher ^ 1) << k + 3
     # Freed before the table index, the kernel's largest array, is built.
     del higher
-    return _TYPE_TABLE.ravel().take(rows + bits)
+    return _TYPE_TABLE.ravel().take(rows + bits.reshape(values.shape))
 
 
 def _member_chunk(n: int) -> int:

@@ -411,25 +411,31 @@ def write_blocks(sink: IO[bytes], magic: str, topology: GridTopology, count: int
         sink.write((text + "\n").encode("utf-8"))
 
 
-def keyed_text(rows: np.ndarray, format_rows: Callable[[np.ndarray], list[str]]) -> list[str]:
+def keyed_text(rows: np.ndarray, format_rows: Callable[[np.ndarray], list[str]]) -> np.ndarray:
     """The text of each row of an (n, k) array, formatted once per distinct row.
 
-    Rows are keyed by their raw bytes: -0.0 and 0.0 are different keys,
+    Rows are keyed by their raw bits: -0.0 and 0.0 are different keys,
     and so are NaNs with different payloads.  `format_rows` is called
     once, on the (d, k) distinct rows in key order, and returns their d
-    strings; row i gets the string of its key, so rows with equal keys
-    share one `str` object.
+    strings.  Returns an (n,) object array whose entry i is the string of
+    row i's key, so rows with equal keys share one `str` object.
     """
-    # One void key per row compares as the row's raw bytes.
-    keys = np.ascontiguousarray(rows).view(
-        np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    distinct, inverse = np.unique(keys, return_inverse=True)
-    # The row copy is freed before the strings are made: kept alive, it left
-    # `render` on a 256x256 summary about 7 MB higher in peak RSS, at the
-    # same tracemalloc peak.
-    del keys
-    texts = format_rows(distinct.view(rows.dtype).reshape(len(distinct), -1))
-    return np.array(texts, dtype=object)[inverse].tolist()
+    # Each column's bits as unsigned integers: a view where the column is
+    # contiguous, as in the transposed tables the writers pass.
+    columns = [np.ascontiguousarray(rows[:, c]).view(f"u{rows.itemsize}")
+               for c in range(rows.shape[1])]
+    order = np.lexsort(columns[::-1])
+    # A sorted row starts a group where any column differs from the row before.
+    starts = np.zeros(len(order), dtype=bool)
+    starts[:1] = True
+    for column in columns:
+        ordered = column[order]
+        starts[1:] |= ordered[1:] != ordered[:-1]
+    del columns, ordered
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    texts = format_rows(rows[order[starts]])
+    return np.array(texts, dtype=object)[inverse]
 
 
 def _member_name(k: int, m: int) -> str:
@@ -457,22 +463,25 @@ def save_ensemble(e: Ensemble, sink: IO[bytes]) -> None:
     write_blocks(sink, "EGF1", e.topology, e.m, e.values)
 
 
-def vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> list[str]:
+def vertex_csv(header: str, rows: np.ndarray, nx: int, tail: str) -> Iterator[str]:
     """CSV pieces: `header`, then the line `i,j` + `tail % row` of each row of an (n, k) array.
 
-    `tail % row` is formatted once per distinct row (`keyed_text`) and
-    shared by every vertex whose row has the same bits; the `i,` and `j`
-    pieces are formatted once per column and row of the grid.
+    `tail % row` is formatted once per distinct row (`keyed_text`), when
+    this is called, and shared by every vertex whose row has the same
+    bits; the `i,` and `j` pieces are formatted once per column and row
+    of the grid.  The pieces are made as they are iterated, so no list of
+    them is ever built.
     """
     def tails(distinct: np.ndarray) -> list[str]:
         # A structured view makes tolist() yield the tuples `%` takes.
         fields = distinct.view([("", distinct.dtype)] * distinct.shape[1]).ravel()
         return [tail % row for row in fields.tolist()]
-    # The `i,` and `j` pieces are made after the rows are keyed, the writer's memory peak.
     texts = keyed_text(rows, tails)
     i_pieces = itertools.cycle([f"{i}," for i in range(nx)])
-    j_pieces = [j for j in map(str, range(len(rows) // nx)) for _ in range(nx)]
-    return [header, *itertools.chain.from_iterable(zip(i_pieces, j_pieces, texts))]
+    j_pieces = itertools.chain.from_iterable(
+        itertools.repeat(j, nx) for j in map(str, range(len(rows) // nx)))
+    return itertools.chain([header], itertools.chain.from_iterable(
+        zip(i_pieces, j_pieces, texts)))
 
 
 _SUMMARY_HEADER = (
@@ -495,8 +504,8 @@ def _summary_csv(
     topology: GridTopology,
     m: int,
     gamma: float,
-) -> list[str]:
-    """Summary CSV pieces of a (3, 3, n) table."""
+) -> Iterator[str]:
+    """Summary CSV pieces of a (3, 3, n) table, made as they are iterated."""
     return vertex_csv(f"# m={m} gamma={float(gamma)!r}\n{_SUMMARY_HEADER}\n",
                       table.reshape(9, topology.n).T, topology.nx, _SUMMARY_TAIL)
 
@@ -658,8 +667,9 @@ def load_summary(source: IO[bytes]):
         records.append(_parse_text_rows(data_lines[1:]))
     if not records:
         raise ValueError("no data rows")
-    records = np.concatenate(records)
-    i, j, values, rows = records["i"], records["j"], records["values"].T, len(records)
+    i = np.concatenate([chunk["i"] for chunk in records])
+    j = np.concatenate([chunk["j"] for chunk in records])
+    rows = len(i)
     # Sorted by (j, i), the rows of a complete grid are its vertices in
     # linear order: position k holds (k % nx, k // nx).
     order = np.lexsort((i, j))
@@ -680,6 +690,14 @@ def load_summary(source: IO[bytes]):
         raise ValueError(
             f"missing vertex ({first % nx}, {first // nx}); {rows} rows "
             f"do not cover the {nx}x{ny} grid ({topology.n} vertices)")
-    table = values.take(order, axis=1).reshape(3, 3, topology.n)
+    del i, j, order, si, sj
+    # The rows cover the grid once each, so row (i, j) is vertex j*nx + i;
+    # each chunk's values go straight to their columns of the table, and
+    # the chunks are freed before the table is checked.
+    table = np.empty((9, topology.n))
+    for chunk in records:
+        table[:, chunk["j"] * nx + chunk["i"]] = chunk["values"].T
+    records.clear()
+    table = table.reshape(3, 3, topology.n)
     _check_table(table, topology)
     return topology, table, metadata.get("m"), metadata.get("gamma")

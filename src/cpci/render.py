@@ -14,16 +14,18 @@ depends only on its vertex's nine values, so vertices are keyed by the
 exact bits of those values (`grid.keyed_text`) and each distinct
 glyph body is formatted once; within it, a path depends only on its
 sector, its role and one probability, so each distinct probability's
-path is formatted once too.  The document is the list of the header,
-then per vertex a short opening tag and the shared body of its key, then
-the legend.  A writer can encode the pieces one at a time, so the full
-SVG text is never held; `render_map` is their `"".join`.
+path is formatted once too.  The document is the header, then per
+vertex its opening tag and the shared body of its key, then the legend,
+as pieces made while they are iterated.  A writer encodes them one at a
+time, so neither the SVG text nor a list of its pieces is ever held;
+`render_map` is their `"".join`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,11 +105,12 @@ def _sector_path(r: float, start_deg: float, end_deg: float) -> str:
     return f"M 0 0 L {_arc_path(r, start_deg, end_deg)[2:]} Z"
 
 
-def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[list[str]]:
+def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[np.ndarray]:
     """Per sector, in paint order (light, dark, arc): the path of every
     column of the (3, 3, k) `table`, "" where the probability is 0.
-    Nine lists of k strings; `render_map` passes one column per distinct
-    glyph, and each distinct probability's path is formatted once."""
+    Nine (k,) object arrays of strings; `render_map` passes one column
+    per distinct glyph, and each distinct probability's path is formatted
+    once."""
     arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(_ARC_STROKE)}"'
     pieces = []
     for code, start, end in SECTORS:
@@ -175,13 +178,15 @@ def render_map_pieces(
     table: np.ndarray,
     topology: GridTopology,
     style: GlyphStyle = GlyphStyle(),
-) -> list[str]:
-    """SVG document, one glyph per vertex plus the legend, as a list of text pieces.
+) -> Iterator[str]:
+    """SVG document, one glyph per vertex plus the legend, as text pieces.
 
     `table` is the (3, 3, n) probability table of `stats.summarize`.
     Vertex (i, j) is centered at (margin + i*cell, margin + (ny-1-j)*cell),
     so j increases upward on screen.  Output is byte-stable for fixed
-    inputs; glyph groups appear in linear vertex order.
+    inputs; glyph groups appear in linear vertex order.  The table and
+    canvas are checked, and each distinct glyph body formatted, when this
+    is called; the pieces are made as they are iterated.
     """
     nx, ny, n = topology.nx, topology.ny, topology.n
     table = np.asarray(table, dtype=np.float64)
@@ -210,8 +215,8 @@ def render_map_pieces(
                   for paths in zip(*_sector_paths(distinct.T.reshape(3, 3, -1), style)))
         return [f"\n{body}\n</g>\n" if body else "</g>\n" for body in bodies]
     # Per vertex: its own opening tag, then the shared rest of its glyph.
-    # The tags are made after the rows are keyed, the writer's memory peak.
     rests = keyed_text(table.reshape(9, n).T, glyph_rests)
-    opens = [f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
-             for j in range(ny) for i in range(nx)]
-    return [header, *itertools.chain.from_iterable(zip(opens, rests)), legend, "\n</svg>\n"]
+    opens = (f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
+             for j in range(ny) for i in range(nx))
+    return itertools.chain([header], itertools.chain.from_iterable(zip(opens, rests)),
+                           [legend, "\n</svg>\n"])

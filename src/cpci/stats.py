@@ -345,11 +345,14 @@ def summarize(counts, m: int, level: ConfidenceLevel = DEFAULT_LEVEL) -> np.ndar
         v = int(np.argmax(over))
         raise ValueError(
             f"type counts {counts[:, v].tolist()} at vertex {v} exceed ensemble size {m}")
-    distinct, inverse = np.unique(counts, return_inverse=True)
-    bounds = _bounds(distinct, m, level.gamma)
+    distinct = np.unique(counts)
+    lower, upper = _bounds(distinct, m, level.gamma).T
     table = np.empty((3, 3, counts.shape[1]))
-    table[:, 0] = counts / m
-    table[:, 1:] = np.moveaxis(bounds[inverse.reshape(counts.shape)], -1, 1)
+    np.divide(counts, m, out=table[:, 0])
+    # One type at a time, so neither a (3, n) inverse nor a (3, n, 2)
+    # gather of the bounds is built.
+    for row, index in enumerate(map(distinct.searchsorted, counts)):
+        table[row, 1], table[row, 2] = lower[index], upper[index]
     return table
 
 

@@ -740,13 +740,13 @@ def peak_tables(path) -> float:
 
 class TestSummaryReadMemory:
     def test_peak_within_a_few_tables(self, summary_256):
-        # Measured 3.6 tables: the parsed records (1.2 tables) and their
-        # chunks while they are joined, then the records, the table and
-        # the sort order.  A parse of every file as text took 15.9.
-        assert peak_tables(summary_256) <= 4.5
+        # Measured 2.25 tables: the parsed records (1.22 tables) and the
+        # table their values are copied into, a chunk at a time; the bound
+        # adds a quarter of a table.  A parse of every file as text took 15.9.
+        assert peak_tables(summary_256) <= 2.5
 
     def test_crlf_within_a_few_tables(self, crlf_copy):
-        # Measured 6.0 tables: the decoded text and its lines, and the
+        # Measured 5.2 tables: the decoded text and its lines, and the
         # parsed values.  A column-wise parse, whose cells are one str
         # each, measured 13.7.
         assert peak_tables(crlf_copy) <= 6
@@ -767,12 +767,13 @@ class TestSummaryReadMemory:
         assert text_rows == rows[:len(text_rows)]
         assert len("\n".join(text_rows)) <= grid._CHUNK_BYTES + len(rows[0])
         assert table.tobytes() == load_summary_file(summary_256)[1].tobytes()
-        assert peak_tables(note_after_header) <= 4.5
+        # Measured 2.27 tables.
+        assert peak_tables(note_after_header) <= 2.5
 
     def test_late_decline_within_a_few_tables(self, late_decline):
-        # The rows before the declined chunk stay parsed; a second parse of
-        # the whole file measured 13.7 tables.
-        assert peak_tables(late_decline) <= 4.5
+        # Measured 2.26 tables: the rows before the declined chunk stay
+        # parsed; a second parse of the whole file measured 13.7 tables.
+        assert peak_tables(late_decline) <= 2.5
 
     def test_late_decline_parses_only_its_tail_as_text(self, late_decline, summary_256,
                                                        monkeypatch):

@@ -336,6 +336,18 @@ class TestClassifyCodes:
             _classify_codes(values, topology, _table_rows(topology)),
             six_comparison_codes(values, topology))
 
+    @pytest.mark.parametrize(
+        "kind", ["random", "quantised 1.0", "quantised 0.25"])
+    def test_matches_six_comparison_kernel_across_member_ends(self, kind):
+        # Seven members to a block: the kernel's shifts wrap from each
+        # member's last rows into the next member's first, which the
+        # member-by-member oracle never compares.
+        for nx, ny in itertools.product(range(2, 10), repeat=2):
+            t = GridTopology(nx, ny)
+            values = kernel_fields(kind, 7, t.n)
+            assert np.array_equal(_classify_codes(values, t, _table_rows(t)),
+                                  six_comparison_codes(values, t)), (nx, ny)
+
     def test_peak_workspace_per_member_vertex(self):
         # The intp table index (8 bytes), the uint8 code and the int8 types
         # are live together; a comparison kept alive past the loop adds one.

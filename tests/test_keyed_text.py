@@ -17,7 +17,9 @@ from hypothesis import strategies as st
 from cpci import render
 from cpci.cli import _write_text
 from cpci.critical import count_types
-from cpci.grid import _SUMMARY_HEADER, Ensemble, GridTopology, _summary_csv, keyed_text
+from cpci.grid import (
+    _SUMMARY_HEADER, Ensemble, GridTopology, _summary_csv, keyed_text, load_summary, save_summary,
+)
 from cpci.render import GlyphStyle, render_map, render_map_pieces
 from cpci.stats import ConfidenceLevel, summarize
 
@@ -102,7 +104,7 @@ def estimate_table(topology: GridTopology, m: int = 50, seed: int = 0) -> np.nda
 
 def glyph_bodies(table, topology) -> list[str]:
     """The SVG piece after each vertex's opening tag: its shared glyph body."""
-    return render_map_pieces(table, topology)[2:-2:2]
+    return list(render_map_pieces(table, topology))[2:-2:2]
 
 
 @st.composite
@@ -128,12 +130,56 @@ def keyed_hex(rows: np.ndarray) -> list[str]:
     def format_rows(distinct):
         calls.append(len(distinct))
         return hex_text(distinct)
-    out = keyed_text(rows, format_rows)
+    out = list(keyed_text(rows, format_rows))
     assert len(calls) == 1 and calls[0] == len(set(out))
     return out
 
 
+def unique_keyed_text(rows: np.ndarray, format_rows) -> list[str]:
+    """The keying before `lexsort` over column bits: `np.unique` over a copy
+    of the rows as one void key each, which compares as the row's raw bytes."""
+    keys = np.ascontiguousarray(rows).view(
+        np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    texts = format_rows(distinct.view(rows.dtype).reshape(len(distinct), -1))
+    return np.array(texts, dtype=object)[inverse.ravel()].tolist()
+
+
+# Float bit patterns whose keys an inexact keying would merge: both zeros,
+# NaNs of either sign with different payloads, and the infinities; and 1.0.
+SPECIAL_BITS = [0x0, 0x8000_0000_0000_0000, 0x7FF8_0000_0000_0000, 0xFFF8_0000_0000_0000,
+                0x7FF8_0000_0000_0001, 0x7FF0_0000_0000_0002, 0x7FF0_0000_0000_0000,
+                0xFFF0_0000_0000_0000, 0x3FF0_0000_0000_0000]
+
+
+@st.composite
+def keyed_rows(draw) -> np.ndarray:
+    """(n, k) rows as the writers pass them: float64 tables with k = 9, int64
+    count rows with k = 3 and the one-column rows of `_sector_paths`, laid
+    out as transposed (k, n) arrays or as contiguous rows."""
+    n, k = draw(st.integers(1, 40)), draw(st.sampled_from([1, 3, 9]))
+    if draw(st.booleans()):
+        pool = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 3),
+                                      min_size=1, max_size=6)), dtype=np.int64)
+    else:
+        bits = draw(st.lists(st.sampled_from(SPECIAL_BITS) | st.integers(0, 2**64 - 1),
+                             min_size=1, max_size=6))
+        pool = np.array(bits, dtype=np.uint64).view(np.float64)
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n * k, max_size=n * k))
+    if draw(st.booleans()):
+        return pool[picks].reshape(k, n).T
+    return pool[picks].reshape(n, k)
+
+
 class TestKeyedText:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(keyed_rows())
+    def test_same_texts_as_unique_over_row_bytes(self, rows):
+        out, oracle = keyed_hex(rows), unique_keyed_text(rows, hex_text)
+        assert out == oracle == hex_text(rows)
+        # Rows with equal keys share one string.
+        assert all(out[out.index(text)] is text for text in out)
+
     def test_keys_exact_bits(self):
         payload_nan = np.array([0x7FF8_0000_0000_0001], dtype=np.uint64).view(np.float64)[0]
         rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [np.nan, 0.5],
@@ -199,7 +245,7 @@ class TestKeyedWritersMatchOracles:
 
     def test_summary_csv_shares_row_strings(self):
         t = GridTopology(20, 15)
-        pieces = _summary_csv(estimate_table(t, m=4), t, 4, 0.95)
+        pieces = list(_summary_csv(estimate_table(t, m=4), t, 4, 0.95))
         # One `j` string per grid row, and one tail per distinct row.
         assert len(set(map(id, pieces[2::3]))) == t.ny
         assert len(set(map(id, pieces[3::3]))) == len(set(pieces[3::3]))
@@ -262,3 +308,62 @@ class TestRenderMemory:
     def test_peak_within_half_an_svg_at_256(self, tmp_path):
         t = GridTopology(256, 256)
         assert render_and_write_peak(estimate_table(t), t, tmp_path / "map.svg") <= 0.5
+
+
+def traced_peak(run) -> int:
+    """The tracemalloc peak of `run()`, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module", params=[128, pytest.param(256, marks=pytest.mark.slow)])
+def estimate_case(request, tmp_path_factory):
+    """(topology, counts, table, summary path) of a side x side smooth
+    ensemble of 50 members, as `estimate` would count, summarize and write it."""
+    t = GridTopology(request.param, request.param)
+    counts = counts_of(smooth_ensemble(t, 50, seed=0))
+    # Also fills the bounds cache, so the traced calls below compute none.
+    table = summarize(counts, 50, ConfidenceLevel(0.95))
+    path = tmp_path_factory.mktemp("stages") / "summary.csv"
+    with open(path, "wb") as sink:
+        save_summary(table, t, 50, 0.95, sink)
+    return t, counts, table, path
+
+
+# Bounds on each stage's peak in tables (9 n float64) at 128x128 and
+# 256x256: the peak measured with numpy 2.4.6 plus about 0.25 of a table.
+# Per-distinct-row text does not grow with the grid, so it weighs more in
+# the smaller table.  Writers and a reader that copied the whole table
+# measured 2.06 / 2.06, 3.49 / 3.40, 3.57 / 3.57 and 4.02 / 3.40.
+STAGE_BUDGETS = {
+    # measured 1.39 / 1.39: the table and one type's bounds
+    "summarize": {128: 1.65, 256: 1.65},
+    # measured 1.29 / 0.57: the sort order, the keys and the tails
+    "save_summary": {128: 1.55, 256: 0.8},
+    # measured 2.25 / 2.24: the parsed records and the table
+    "load_summary": {128: 2.5, 256: 2.5},
+    # measured 2.65 / 1.12: the keys and the glyph bodies
+    "render": {128: 2.9, 256: 1.4},
+}
+
+
+class TestPerVertexStageMemory:
+    """Each stage after the tally holds at most about two tables at once."""
+
+    @pytest.mark.parametrize("stage", STAGE_BUDGETS)
+    def test_peak_in_tables(self, estimate_case, stage, tmp_path):
+        t, counts, table, path = estimate_case
+        with open(path, "rb") as source, open(tmp_path / "out", "wb") as sink:
+            run = {
+                "summarize": lambda: summarize(counts, 50, ConfidenceLevel(0.95)),
+                "save_summary": lambda: save_summary(table, t, 50, 0.95, sink),
+                "load_summary": lambda: load_summary(source),
+                "render": lambda: _write_text(str(tmp_path / "map.svg"),
+                                              render_map_pieces(table, t)),
+            }[stage]
+            peak = traced_peak(run) / table.nbytes
+        assert peak <= STAGE_BUDGETS[stage][t.nx], peak

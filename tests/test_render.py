@@ -12,6 +12,7 @@ from cpci.render import (
     SECTORS,
     glyph_radius,
     render_map,
+    render_map_pieces,
 )
 
 ROW = {"min": 0, "max": 1, "sad": 2}   # type axis of the (3, 3, n) table
@@ -228,6 +229,16 @@ class TestRenderMap:
         message = f"a {nx}x{nx} map at cell=1e+308, r_max={r_max!r} overflows the SVG canvas"
         with pytest.raises(ValueError, match=re.escape(message)):
             render_map(np.zeros((3, 3, nx * nx)), GridTopology(nx, nx), style)
+
+    @pytest.mark.parametrize("shape, value, style, match", [
+        ((3, 3, 15), 0.0, GlyphStyle(), r"\(3, 3, 16\) table"),
+        ((3, 3, 16), 1.1, GlyphStyle(), "not a probability"),
+        ((3, 3, 16), 0.0, GlyphStyle(r_max=1.0, cell=1e308), "overflows the SVG canvas"),
+    ])
+    def test_rejected_when_called_not_when_iterated(self, shape, value, style, match):
+        # The pieces are made as they are iterated; the checks are not.
+        with pytest.raises(ValueError, match=match):
+            render_map_pieces(np.full(shape, value), GridTopology(4, 4), style)
 
     def test_large_finite_canvas_renders(self):
         table = table_from({"max": (1.0, 1.0, 1.0)})

@@ -8,6 +8,7 @@ one value array, not its text as well.
 """
 
 import io
+import itertools
 import os
 import tracemalloc
 from pathlib import Path
@@ -127,7 +128,7 @@ class TestFailureInsideTheSink:
         pieces = cpci.cli.render_map_pieces
 
         def failing_pieces(*args):
-            yield from pieces(*args)[:20]
+            yield from itertools.islice(pieces(*args), 20)
             raise error
 
         monkeypatch.setattr(cpci.cli, "render_map_pieces", failing_pieces)
