@@ -15,7 +15,13 @@ line-by-line parse, the one that defines the format.
 `write_blocks` writes the layout one block at a time.  The EGF callers
 are `load_ensemble` (the whole body as one array), `stream_ensemble` (a
 few members at a time) and `save_ensemble`; `cpci.synth` holds the MMF
-ones.
+ones.  `stream_range` parses a byte range of an EGF body through the
+same chunk loop (`_body_arrays`), strictly: a chunk that `_parse_chunk`
+declines, or a range with other than the expected rows, raises
+RangeDeclined, and the caller reads the file again through
+`stream_blocks`.  With `egf_head` and `line_end`, which find where a
+member starts in a file with the canonical head, it lets `cli` split a
+large EGF between two processes.
 
 The summary CSV, the per-vertex table of point estimates and interval
 bounds, is written by `save_summary` and read by `load_summary`.  Its
@@ -25,8 +31,8 @@ and parses any chunk it declines row by row, the parse that defines
 the format.  Both take binary handles and name no file in their
 errors.  The CSV and SVG writers format per-vertex rows through
 `keyed_text`, once per distinct row; `vertex_csv` lays out the CSV
-ones.  `stream_ensemble`, `stream_blocks`, `write_blocks`, `keyed_text`
-and `vertex_csv` are left out of `__all__`, and so out of the package
+ones.  `stream_ensemble`, `stream_blocks`, `stream_range`, `write_blocks`,
+`keyed_text` and `vertex_csv` are left out of `__all__`, and so out of the package
 API: they are the streaming and formatting plumbing that `cli`,
 `render` and `synth` import by name.
 """
@@ -38,7 +44,7 @@ import io
 import itertools
 import sys
 from array import array
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Generator, Iterable, Iterator
 from dataclasses import dataclass
 from typing import IO
 
@@ -206,11 +212,17 @@ def _split_lines(raw: bytes, lineno: int) -> list[str]:
     return [line.strip() for line in text.splitlines()]
 
 
-def _line_chunks(source: IO[bytes]) -> Iterator[bytes]:
-    """The rest of `source` in chunks of about `_CHUNK_BYTES` of whole lines."""
-    while chunk := source.read(_CHUNK_BYTES):
+def _line_chunks(source: IO[bytes], limit: int = -1) -> Iterator[bytes]:
+    """The next `limit` bytes of `source` (the rest, if negative) in chunks of whole lines.
+
+    Each chunk is about `_CHUNK_BYTES` long and ends at a line end, or at
+    the end of the range.
+    """
+    while limit and (chunk := source.read(
+            _CHUNK_BYTES if limit < 0 else min(limit, _CHUNK_BYTES))):
         if not chunk.endswith(b"\n"):
-            chunk += source.readline()
+            chunk += source.readline(max(limit - len(chunk), -1))
+        limit -= len(chunk)
         yield chunk
 
 
@@ -249,6 +261,54 @@ def _parses_as_float(token: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _body_arrays(source: IO[bytes], topology: GridTopology, total: int, size: int,
+                 rows_of: Callable[[bytes, np.ndarray | None, int], Iterable[np.ndarray]],
+                 too_big: Exception, lead: Iterable[np.ndarray] = (), limit: int = -1,
+                 ) -> Generator[np.ndarray, None, int]:
+    """Copy body rows into (k, n) arrays of `size` blocks; yield each one filled.
+
+    The body holds `total` blocks.  The rows are those of `lead`, then,
+    for each chunk of whole lines in the next `limit` bytes of `source`
+    (the rest, if negative), `rows_of(chunk, parsed, filled)`: `parsed`
+    is `_parse_chunk`'s parse of the chunk, or None, and `filled` counts
+    the rows before it.  Each array is allocated when the consumer asks
+    for it: the first before any row is parsed, so a header that asks for
+    more than memory holds fails at the header (`too_big` is raised), and
+    each next one right after the array before it is yielded, so the
+    consumer works on a yielded array while only the rest of a chunk's
+    rows waits.  Returns the number of rows read.
+    """
+    nx, ny = topology.nx, topology.ny
+    end, step = total * ny, size * ny  # rows in the body and per yielded array
+    filled = 0
+
+    def start() -> np.ndarray:
+        try:
+            return np.empty((min(size, total - filled // ny) * ny, nx))
+        except MemoryError:
+            raise too_big from None
+
+    def chunk_rows() -> Iterator[np.ndarray]:
+        yield from lead
+        for chunk in _line_chunks(source, limit):
+            # The room is the rest of the body, not of the current array, so a
+            # chunk that spans two arrays still parses in one step.
+            yield from rows_of(chunk, _parse_chunk(chunk, nx, end - filled), filled)
+
+    rows = start()
+    for parsed in chunk_rows():
+        while len(parsed):
+            at = filled % step
+            stored = min(len(parsed), len(rows) - at)
+            rows[at:at + stored] = parsed[:stored]
+            parsed = parsed[stored:]
+            filled += stored
+            if at + stored == len(rows):
+                yield rows.reshape(-1, topology.n)
+                rows = start()
+    return filled
 
 
 def stream_blocks(source: IO[bytes], magic: str, header: str,
@@ -320,80 +380,111 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
     if total * topology.n > sys.maxsize // 8:
         raise ParseError(head, too_big)
     size = total if batch is None else batch(topology.n)
-    end, step = total * ny, size * ny  # rows in the body and per yielded array
+    end = total * ny  # rows in the body
+    lineno = head  # the last content line, which end-of-file errors name
+
+    def parse_lines(lines: Iterable[tuple[int, str]], filled: int) -> Iterator[np.ndarray]:
+        """Parse numbered content lines one row at a time: the format's definition.
+
+        `filled` rows of the body come before them.
+        """
+        nonlocal lineno
+        for lineno, text in lines:
+            if filled == end:
+                raise ParseError(lineno, "trailing content after final block")
+            k, j = divmod(filled, ny)
+            tokens = text.split()
+            if len(tokens) != nx:
+                raise ParseError(lineno, f"expected {nx} values in row {j} of "
+                                         f"{block_name(k, count)}, got {len(tokens)}")
+            try:
+                row = np.asarray(tokens, dtype=np.float64)
+            except ValueError:
+                bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
+                raise ParseError(lineno, f"bad number {bad!r}") from None
+            if not np.isfinite(row).all():
+                bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
+                raise ParseError(lineno, f"non-finite value {bad!r}")
+            filled += 1
+            yield row[None]
+
+    def rows_of(chunk: bytes, parsed: np.ndarray | None, filled: int) -> Iterable[np.ndarray]:
+        nonlocal seen, lineno
+        if parsed is None:
+            return parse_lines((line for raw in io.BytesIO(chunk) for line in numbered(raw)),
+                               filled)
+        seen += len(parsed)
+        lineno = seen
+        return (parsed,)
 
     def body() -> Iterator[np.ndarray]:
-        nonlocal seen
-        filled = 0  # rows parsed so far, over the whole body
-        lineno = head  # the last content line, which end-of-file errors name
-
-        def start() -> np.ndarray:
-            try:
-                return np.empty((min(size, total - filled // ny) * ny, nx))
-            except MemoryError:
-                raise ParseError(head, too_big) from None
-
-        def put(parsed: np.ndarray) -> Iterator[np.ndarray]:
-            """Copy parsed rows in, yielding each array they fill as (k, n) blocks.
-
-            The next array is allocated when the consumer asks for it, so
-            the consumer works on a yielded array while only the rest of
-            `parsed` waits.
-            """
-            nonlocal filled, rows
-            while len(parsed):
-                at = filled % step
-                stored = min(len(parsed), len(rows) - at)
-                rows[at:at + stored] = parsed[:stored]
-                parsed = parsed[stored:]
-                filled += stored
-                if at + stored == len(rows):
-                    yield rows.reshape(-1, topology.n)
-                    rows = start()
-
-        def parse_lines(lines: Iterable[tuple[int, str]]) -> Iterator[np.ndarray]:
-            """Parse numbered content lines one row at a time: the format's definition."""
-            nonlocal lineno
-            for lineno, text in lines:
-                if filled == end:
-                    raise ParseError(lineno, "trailing content after final block")
-                k, j = divmod(filled, ny)
-                tokens = text.split()
-                if len(tokens) != nx:
-                    raise ParseError(lineno, f"expected {nx} values in row {j} of "
-                                             f"{block_name(k, count)}, got {len(tokens)}")
-                try:
-                    row = np.asarray(tokens, dtype=np.float64)
-                except ValueError:
-                    bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
-                    raise ParseError(lineno, f"bad number {bad!r}") from None
-                if not np.isfinite(row).all():
-                    bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
-                    raise ParseError(lineno, f"non-finite value {bad!r}")
-                yield from put(row[None])
-
-        # The first array is allocated before any row is parsed, so a header
-        # that asks for more than memory holds fails at the header; each next
-        # one right after the array before it is yielded.
-        rows = start()
-        yield from parse_lines(unparsed)
-        for chunk in _line_chunks(source):
-            # The room is the rest of the body, not of the current array, so a
-            # chunk that spans two arrays still parses in one step.
-            parsed = _parse_chunk(chunk, nx, end - filled)
-            if parsed is None:
-                yield from parse_lines(
-                    line for raw in io.BytesIO(chunk) for line in numbered(raw))
-            else:
-                seen += len(parsed)
-                lineno = seen
-                yield from put(parsed)
+        filled = yield from _body_arrays(source, topology, total, size, rows_of,
+                                         ParseError(head, too_big), parse_lines(unparsed, 0))
         if filled < end:
             k, j = divmod(filled, ny)
             raise ParseError(
                 lineno, f"unexpected end of file, expected row {j} of {block_name(k, count)}")
 
     return topology, count, body()
+
+
+class RangeDeclined(Exception):
+    """A file, or a range of it, that only `stream_blocks` reads."""
+
+
+def stream_range(source: IO[bytes], topology: GridTopology, count: int, batch: int,
+                 limit: int = -1) -> Iterator[np.ndarray]:
+    """Parse the next `limit` bytes of an EGF body (the rest, if negative), strictly.
+
+    Yields (k, n) arrays of `batch` members (the last may hold fewer).
+    The range must hold exactly `count` members, in chunks of whole lines
+    that `_parse_chunk` parses in one step: plain rows, with no comment,
+    blank line or CR.  Anything else, well-formed or not, raises
+    RangeDeclined, which is not an error: only `stream_blocks`, the
+    format's definition, judges the file, so a caller that meets
+    RangeDeclined reads the file again through it.
+    """
+    def rows_of(chunk: bytes, parsed: np.ndarray | None, filled: int) -> Iterable[np.ndarray]:
+        if parsed is None:
+            raise RangeDeclined
+        return (parsed,)
+
+    filled = yield from _body_arrays(source, topology, count, batch, rows_of,
+                                     RangeDeclined(), limit=limit)
+    if filled < count * topology.ny:
+        raise RangeDeclined
+
+
+def egf_head(source: IO[bytes]) -> tuple[int, int, int]:
+    """(nx, ny, m) of an EGF that starts `EGF1\\n{nx} {ny} {m}\\n`, else RangeDeclined.
+
+    That head, as `write_blocks` writes it, is the only one read here;
+    `source` is then left at the first byte of the body.
+    """
+    magic, header = source.readline(5), source.readline(64)
+    try:
+        nx, ny, m = map(int, header.split(b" "))
+    except ValueError:
+        raise RangeDeclined from None
+    if magic != b"EGF1\n" or header != b"%d %d %d\n" % (nx, ny, m):
+        raise RangeDeclined
+    return nx, ny, m
+
+
+def line_end(source: IO[bytes], lines: int) -> int:
+    """The offset just past the `lines`-th LF after the position of `source`.
+
+    Raises RangeDeclined if the rest of `source` holds fewer.
+    """
+    offset = source.tell()
+    while chunk := source.read(1 << 20):
+        found = chunk.count(b"\n")
+        if found >= lines:
+            ends = np.flatnonzero(np.frombuffer(chunk, np.uint8) == ord("\n"))
+            return offset + int(ends[lines - 1]) + 1
+        lines -= found
+        offset += len(chunk)
+    raise RangeDeclined
 
 
 def write_blocks(sink: IO[bytes], magic: str, topology: GridTopology, count: int,

@@ -75,8 +75,10 @@ def estimate_moments(e: Ensemble) -> MomentModel:
     if e.m < 2:
         raise ValueError(f"moment estimation needs m >= 2 members, got {e.m}")
     mean = e.values.mean(axis=0)
-    factor = (e.values - mean).T / math.sqrt(e.m - 1)
-    return MomentModel(topology=e.topology, mean=mean, factor=factor)
+    # Centred and scaled in place: one member-sized array besides the values.
+    factor = e.values - mean
+    factor /= math.sqrt(e.m - 1)
+    return MomentModel(topology=e.topology, mean=mean, factor=factor.T)
 
 
 def _draw_members(model: MomentModel, start: int, stop: int, seed: int) -> np.ndarray:
