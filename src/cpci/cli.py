@@ -10,16 +10,19 @@ Exit codes: 0 success, 2 usage or input error, 1 internal error.
 
 `estimate` parses and tallies its EGF one chunk of members at a time.
 A large regular file (`_SPLIT_BYTES`) written with the canonical head
-is split at member K = m // 2, rounded down to a whole chunk: a helper
-process (`python -c`, `_tally_back`) tallies [K, m) while this process
-tallies [0, K), and the two int64 count arrays are added, which gives
-the serial counts exactly.  Each half is streamed strictly
-(`grid.stream_range`): any line that numpy's one-step chunk parse does
-not take, such as a comment, a blank line, a CR or a bad number, ends
-the split, as does a helper that fails or opens a different file.  The
-helper is then killed and reaped, and the serial stream reads the file
-again from byte 0, so every output, message and exit code is the serial
-stream's.
+is split at member K = m // 2, rounded up to a whole chunk, so that the
+helper, which starts later, takes the smaller half: a helper process
+(`python -c`, `_tally_back`) tallies [K, m) while this process tallies
+[0, K), and the two int64 count arrays are added, which gives the serial
+counts exactly.  The split point is the end of line K * ny of the body,
+and each half is parsed by the serial stream's own parse
+(`grid.stream_range`), which must find exactly its members' rows there:
+a comment, blank line or CR that moves the member boundary leaves one
+half with a row too few or too many.  Any parse error in either half
+ends the split, as does a helper that fails or opens a different file.
+The helper is then killed and reaped, and the serial stream reads the
+file again from byte 0, so every output, message and exit code is the
+serial stream's.
 The summary CSV format is `grid`'s (`save_summary`, `load_summary`);
 `_load_summary_path` prefixes its errors with the file's path.
 Numbers in CSV output carry 9 significant digits with LF line endings,
@@ -49,8 +52,8 @@ from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
-    GridTopology, RangeDeclined, egf_head, line_end, load_ensemble, load_summary,
-    save_ensemble, save_summary, stream_ensemble, stream_range, vertex_csv,
+    GridTopology, ParseError, RangeDeclined, egf_head, line_end, load_ensemble,
+    load_summary, save_ensemble, save_summary, stream_ensemble, stream_range, vertex_csv,
 )
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
 from .stats import _SEED_MAX, ConfidenceLevel, _check_seed, coverage_experiment, summarize
@@ -187,7 +190,8 @@ def _tally_back(path: str, *fields: str) -> int:
     `fields` are the main process's `_identity` of the file, then the
     byte where member K starts, nx, ny and m - K.  Writes the (3, n)
     int64 counts and returns 0, or writes nothing and returns 1 if the
-    file it opens is not that file or the range declines.
+    file it opens is not that file or the range does not parse as
+    exactly m - K members.
     """
     start, nx, ny, count = map(int, fields[4:])
     topology = GridTopology(nx, ny)
@@ -196,9 +200,8 @@ def _tally_back(path: str, *fields: str) -> int:
             return 1
         handle.seek(start)
         try:
-            counts = _tally(stream_range(handle, topology, count, _member_chunk(topology.n)),
-                            topology)
-        except RangeDeclined:
+            counts = _tally(stream_range(handle, (nx, ny, count), _member_chunk), topology)
+        except ParseError:
             return 1
     sys.stdout.buffer.write(counts)
     sys.stdout.buffer.flush()
@@ -212,12 +215,13 @@ def _split_tally(handle: IO[bytes], path: str) -> tuple[GridTopology, int, np.nd
     file of at least `_SPLIT_BYTES` that starts with the head
     `write_blocks` writes and spans at least two `_member_chunk` batches,
     and at least two CPUs are usable.  Then a helper process
-    (`_tally_back`) tallies members [K, m), K being m // 2 rounded down to
-    a whole batch, while this one tallies [0, K); both stream their byte
-    range strictly (`stream_range`).  A range that declines, or a helper
-    that cannot start, fails or finds another file, returns None too, so
-    that the serial stream, which defines the format, reads the file and
-    reports its errors.  The helper is killed and reaped on every exit.
+    (`_tally_back`) tallies members [K, m), K being m // 2 rounded up to
+    a whole batch, while this one tallies [0, K); each parses its byte
+    range with the serial stream's parse (`stream_range`).  A range that
+    does not parse as exactly its members, or a helper that cannot start,
+    fails or finds another file, returns None too, so that the serial
+    stream, which defines the format, reads the file and reports its
+    errors.  The helper is killed and reaped on every exit.
     """
     stat = os.fstat(handle.fileno())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -229,7 +233,7 @@ def _split_tally(handle: IO[bytes], path: str) -> tuple[GridTopology, int, np.nd
         if min(nx, ny) < 2 or m < 2 * batch:
             raise RangeDeclined
         topology = GridTopology(nx, ny)
-        front = m // 2 // batch * batch
+        front = -(-(m // 2) // batch) * batch
         body = handle.tell()
         split = line_end(handle, front * ny)
         handle.seek(body)
@@ -245,8 +249,8 @@ def _split_tally(handle: IO[bytes], path: str) -> tuple[GridTopology, int, np.nd
         back = np.empty((3, topology.n), dtype=np.int64)
         with helper:
             try:
-                counts = _tally(stream_range(handle, topology, front, batch, split - body),
-                                topology)
+                counts = _tally(stream_range(handle, (nx, ny, front), _member_chunk,
+                                             split - body), topology)
                 got = helper.stdout.readinto(back)
                 helper.wait()
             except BaseException:
@@ -255,7 +259,7 @@ def _split_tally(handle: IO[bytes], path: str) -> tuple[GridTopology, int, np.nd
                 raise
         if helper.returncode != 0 or got != back.nbytes:
             raise RangeDeclined
-    except RangeDeclined:
+    except (RangeDeclined, ParseError):
         handle.seek(0)
         return None
     counts += back

@@ -15,12 +15,12 @@ line-by-line parse, the one that defines the format.
 `write_blocks` writes the layout one block at a time.  The EGF callers
 are `load_ensemble` (the whole body as one array), `stream_ensemble` (a
 few members at a time) and `save_ensemble`; `cpci.synth` holds the MMF
-ones.  `stream_range` parses a byte range of an EGF body through the
-same chunk loop (`_body_arrays`), strictly: a chunk that `_parse_chunk`
-declines, or a range with other than the expected rows, raises
-RangeDeclined, and the caller reads the file again through
-`stream_blocks`.  With `egf_head` and `line_end`, which find where a
-member starts in a file with the canonical head, it lets `cli` split a
+ones.  `stream_range` parses a byte range of an EGF body that starts
+at a member: it is `stream_blocks` given the shape, which skips the
+head, and a byte limit, so the range is read by the same parse and
+raises ParseError unless it holds exactly the members asked for.  With
+`egf_head` and `line_end`, which find where a member starts in a file
+with the canonical head (else RangeDeclined), it lets `cli` split a
 large EGF between two processes.
 
 The summary CSV, the per-vertex table of point estimates and interval
@@ -44,7 +44,7 @@ import io
 import itertools
 import sys
 from array import array
-from collections.abc import Callable, Generator, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from typing import IO
 
@@ -263,57 +263,10 @@ def _parses_as_float(token: str) -> bool:
     return True
 
 
-def _body_arrays(source: IO[bytes], topology: GridTopology, total: int, size: int,
-                 rows_of: Callable[[bytes, np.ndarray | None, int], Iterable[np.ndarray]],
-                 too_big: Exception, lead: Iterable[np.ndarray] = (), limit: int = -1,
-                 ) -> Generator[np.ndarray, None, int]:
-    """Copy body rows into (k, n) arrays of `size` blocks; yield each one filled.
-
-    The body holds `total` blocks.  The rows are those of `lead`, then,
-    for each chunk of whole lines in the next `limit` bytes of `source`
-    (the rest, if negative), `rows_of(chunk, parsed, filled)`: `parsed`
-    is `_parse_chunk`'s parse of the chunk, or None, and `filled` counts
-    the rows before it.  Each array is allocated when the consumer asks
-    for it: the first before any row is parsed, so a header that asks for
-    more than memory holds fails at the header (`too_big` is raised), and
-    each next one right after the array before it is yielded, so the
-    consumer works on a yielded array while only the rest of a chunk's
-    rows waits.  Returns the number of rows read.
-    """
-    nx, ny = topology.nx, topology.ny
-    end, step = total * ny, size * ny  # rows in the body and per yielded array
-    filled = 0
-
-    def start() -> np.ndarray:
-        try:
-            return np.empty((min(size, total - filled // ny) * ny, nx))
-        except MemoryError:
-            raise too_big from None
-
-    def chunk_rows() -> Iterator[np.ndarray]:
-        yield from lead
-        for chunk in _line_chunks(source, limit):
-            # The room is the rest of the body, not of the current array, so a
-            # chunk that spans two arrays still parses in one step.
-            yield from rows_of(chunk, _parse_chunk(chunk, nx, end - filled), filled)
-
-    rows = start()
-    for parsed in chunk_rows():
-        while len(parsed):
-            at = filled % step
-            stored = min(len(parsed), len(rows) - at)
-            rows[at:at + stored] = parsed[:stored]
-            parsed = parsed[stored:]
-            filled += stored
-            if at + stored == len(rows):
-                yield rows.reshape(-1, topology.n)
-                rows = start()
-    return filled
-
-
 def stream_blocks(source: IO[bytes], magic: str, header: str,
                   block_name: Callable[[int, int], str], extra: int = 0,
                   batch: Callable[[int], int] | None = None,
+                  shape: tuple[int, int, int] | None = None, limit: int = -1,
                   ) -> tuple[GridTopology, int, Iterator[np.ndarray]]:
     """Parse the head of a text grid stream; return (topology, count, blocks).
 
@@ -336,6 +289,12 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
     format.  Each array is allocated when the consumer asks for it: the
     first before any row is parsed, each next one right after the array
     before it is yielded.
+
+    A known `shape` (nx, ny, count) skips the magic and header: `source`
+    is then at the start of a body line, such as a block's first, and
+    line numbers count from there.  Only the next `limit` bytes of the
+    body are read (the rest, if negative); the caller puts their end at
+    a line end.
     """
     seen = 0  # lines read so far
 
@@ -358,20 +317,23 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
             unparsed.extend(numbered(raw))
         return unparsed.pop(0)
 
-    lineno, token = take(f"magic line {magic!r}", 1)
-    if token != magic:
-        raise ParseError(lineno, f"bad magic line {token!r}, expected {magic!r}")
-    head, line = take(f"header {header!r}", lineno)
-    parts = line.split()
-    if len(parts) != 3:
-        raise ParseError(
-            head, f"header {header!r} needs 3 integers, got {len(parts)} tokens")
-    try:
-        nx, ny, count = (int(p) for p in parts)
-    except ValueError:
-        raise ParseError(head, f"non-integer in header {line!r}") from None
-    if min(nx, ny, count) < 1:
-        raise ParseError(head, f"header values must be positive, got {line!r}")
+    if shape is None:
+        lineno, token = take(f"magic line {magic!r}", 1)
+        if token != magic:
+            raise ParseError(lineno, f"bad magic line {token!r}, expected {magic!r}")
+        head, line = take(f"header {header!r}", lineno)
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(
+                head, f"header {header!r} needs 3 integers, got {len(parts)} tokens")
+        try:
+            nx, ny, count = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(head, f"non-integer in header {line!r}") from None
+        if min(nx, ny, count) < 1:
+            raise ParseError(head, f"header values must be positive, got {line!r}")
+    else:
+        (nx, ny, count), head, line = shape, 0, "%d %d %d" % shape
     topology = GridTopology(nx, ny)
     total = count + extra
     too_big = f"header {line!r} asks for more values than fit in memory"
@@ -380,46 +342,74 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
     if total * topology.n > sys.maxsize // 8:
         raise ParseError(head, too_big)
     size = total if batch is None else batch(topology.n)
-    end = total * ny  # rows in the body
-    lineno = head  # the last content line, which end-of-file errors name
-
-    def parse_lines(lines: Iterable[tuple[int, str]], filled: int) -> Iterator[np.ndarray]:
-        """Parse numbered content lines one row at a time: the format's definition.
-
-        `filled` rows of the body come before them.
-        """
-        nonlocal lineno
-        for lineno, text in lines:
-            if filled == end:
-                raise ParseError(lineno, "trailing content after final block")
-            k, j = divmod(filled, ny)
-            tokens = text.split()
-            if len(tokens) != nx:
-                raise ParseError(lineno, f"expected {nx} values in row {j} of "
-                                         f"{block_name(k, count)}, got {len(tokens)}")
-            try:
-                row = np.asarray(tokens, dtype=np.float64)
-            except ValueError:
-                bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
-                raise ParseError(lineno, f"bad number {bad!r}") from None
-            if not np.isfinite(row).all():
-                bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
-                raise ParseError(lineno, f"non-finite value {bad!r}")
-            filled += 1
-            yield row[None]
-
-    def rows_of(chunk: bytes, parsed: np.ndarray | None, filled: int) -> Iterable[np.ndarray]:
-        nonlocal seen, lineno
-        if parsed is None:
-            return parse_lines((line for raw in io.BytesIO(chunk) for line in numbered(raw)),
-                               filled)
-        seen += len(parsed)
-        lineno = seen
-        return (parsed,)
+    end, step = total * ny, size * ny  # rows in the body and per yielded array
 
     def body() -> Iterator[np.ndarray]:
-        filled = yield from _body_arrays(source, topology, total, size, rows_of,
-                                         ParseError(head, too_big), parse_lines(unparsed, 0))
+        nonlocal seen
+        filled = 0  # rows parsed so far, over the whole body
+        lineno = head  # the last content line, which end-of-file errors name
+
+        def start() -> np.ndarray:
+            try:
+                return np.empty((min(size, total - filled // ny) * ny, nx))
+            except MemoryError:
+                raise ParseError(head, too_big) from None
+
+        def put(parsed: np.ndarray) -> Iterator[np.ndarray]:
+            """Copy parsed rows in, yielding each array they fill as (k, n) blocks.
+
+            The next array is allocated when the consumer asks for it, so
+            the consumer works on a yielded array while only the rest of
+            `parsed` waits.
+            """
+            nonlocal filled, rows
+            while len(parsed):
+                at = filled % step
+                stored = min(len(parsed), len(rows) - at)
+                rows[at:at + stored] = parsed[:stored]
+                parsed = parsed[stored:]
+                filled += stored
+                if at + stored == len(rows):
+                    yield rows.reshape(-1, topology.n)
+                    rows = start()
+
+        def parse_lines(lines: Iterable[tuple[int, str]]) -> Iterator[np.ndarray]:
+            """Parse numbered content lines one row at a time: the format's definition."""
+            nonlocal lineno
+            for lineno, text in lines:
+                if filled == end:
+                    raise ParseError(lineno, "trailing content after final block")
+                k, j = divmod(filled, ny)
+                tokens = text.split()
+                if len(tokens) != nx:
+                    raise ParseError(lineno, f"expected {nx} values in row {j} of "
+                                             f"{block_name(k, count)}, got {len(tokens)}")
+                try:
+                    row = np.asarray(tokens, dtype=np.float64)
+                except ValueError:
+                    bad = next((t for t in tokens if not _parses_as_float(t)), tokens[0])
+                    raise ParseError(lineno, f"bad number {bad!r}") from None
+                if not np.isfinite(row).all():
+                    bad = tokens[int(np.flatnonzero(~np.isfinite(row))[0])]
+                    raise ParseError(lineno, f"non-finite value {bad!r}")
+                yield from put(row[None])
+
+        # The first array is allocated before any row is parsed, so a header
+        # that asks for more than memory holds fails at the header; each next
+        # one right after the array before it is yielded.
+        rows = start()
+        yield from parse_lines(unparsed)
+        for chunk in _line_chunks(source, limit):
+            # The room is the rest of the body, not of the current array, so a
+            # chunk that spans two arrays still parses in one step.
+            parsed = _parse_chunk(chunk, nx, end - filled)
+            if parsed is None:
+                yield from parse_lines(
+                    line for raw in io.BytesIO(chunk) for line in numbered(raw))
+            else:
+                seen += len(parsed)
+                lineno = seen
+                yield from put(parsed)
         if filled < end:
             k, j = divmod(filled, ny)
             raise ParseError(
@@ -429,30 +419,21 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
 
 
 class RangeDeclined(Exception):
-    """A file, or a range of it, that only `stream_blocks` reads."""
+    """A file that only `stream_blocks` reads whole: no canonical head, or too few lines."""
 
 
-def stream_range(source: IO[bytes], topology: GridTopology, count: int, batch: int,
-                 limit: int = -1) -> Iterator[np.ndarray]:
-    """Parse the next `limit` bytes of an EGF body (the rest, if negative), strictly.
+def stream_range(source: IO[bytes], shape: tuple[int, int, int],
+                 batch: Callable[[int], int], limit: int = -1) -> Iterator[np.ndarray]:
+    """Parse the next `limit` bytes of an EGF body (the rest, if negative) as `shape`'s members.
 
-    Yields (k, n) arrays of `batch` members (the last may hold fewer).
-    The range must hold exactly `count` members, in chunks of whole lines
-    that `_parse_chunk` parses in one step: plain rows, with no comment,
-    blank line or CR.  Anything else, well-formed or not, raises
-    RangeDeclined, which is not an error: only `stream_blocks`, the
-    format's definition, judges the file, so a caller that meets
-    RangeDeclined reads the file again through it.
+    `shape` is (nx, ny, count), and `source` is at the start of a member.
+    The range is parsed by `stream_blocks` itself, so it yields what that
+    parse yields for these rows, in `batch(n)`-member arrays, and raises
+    ParseError unless the range holds exactly `count` members.  Its line
+    numbers count from the start of the range.
     """
-    def rows_of(chunk: bytes, parsed: np.ndarray | None, filled: int) -> Iterable[np.ndarray]:
-        if parsed is None:
-            raise RangeDeclined
-        return (parsed,)
-
-    filled = yield from _body_arrays(source, topology, count, batch, rows_of,
-                                     RangeDeclined(), limit=limit)
-    if filled < count * topology.ny:
-        raise RangeDeclined
+    return stream_blocks(source, "EGF1", "nx ny m", _member_name, batch=batch,
+                         shape=shape, limit=limit)[2]
 
 
 def egf_head(source: IO[bytes]) -> tuple[int, int, int]:

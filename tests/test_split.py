@@ -1,25 +1,28 @@
 """The two-process `estimate` against the serial stream it falls back to.
 
 `cli._split_tally` tallies members [K, m) of a large EGF in a helper
-process and [0, K) in its own, each half streamed strictly.  Its outputs
-must be the serial stream's bytes.  Every file that a half declines,
-every error and every helper failure must read exactly as the serial
-stream reads it, and no helper may outlive the command.  Here the size
+process and [0, K) in its own, each half parsed by the serial stream's
+parse, which must find exactly its members' rows.  Its outputs must be
+the serial stream's bytes.  Every file on which a half fails, every
+error and every helper failure must read exactly as the serial stream
+reads it, and no helper may outlive the command.  Here the size
 constant is 0, so small files take the split path, and the batch is 4
 members in this process (the helper keeps the real rule; counts do not
-depend on it), so K is m // 2 rounded down to a multiple of 4.
+depend on it), so K is m // 2 rounded up to a multiple of 4.
 """
 
+import io
 import os
 import subprocess
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from cpci import cli
-from cpci.grid import GridTopology
+from cpci.grid import GridTopology, ParseError, stream_range
 
 from conftest import run_cli, write_egf
 from test_stream import egf_bytes, members
@@ -47,6 +50,7 @@ class Paths:
 
     def __init__(self, monkeypatch, serial_allowed: bool):
         self.serial = self.helpers = 0
+        self.back = None  # the members the last helper was asked to tally
         monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(cli, "_member_chunk", lambda n: BATCH)
         stream = cli.stream_ensemble
@@ -62,6 +66,7 @@ class Paths:
         class CountedPopen(subprocess.Popen):
             def __init__(self, *args, **kwargs):
                 paths.helpers += 1
+                paths.back = int(args[0][-1])
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(cli, "stream_ensemble", counted_stream)
@@ -74,17 +79,21 @@ def egf_lines(m: int = M, step: float | None = None, seed: int = 0) -> list[byte
     return egf_bytes(members(TOPOLOGY, m, step, seed), TOPOLOGY).splitlines(keepends=True)
 
 
+def front(m: int) -> int:
+    """K, the members of the front half: m // 2 rounded up to a whole batch."""
+    return -(-(m // 2) // BATCH) * BATCH
+
+
 def body_row(half: str, m: int = M) -> int:
     """Index in `egf_lines` of a row in the middle of the front or back half."""
-    front = m // 2 // BATCH * BATCH
-    rows = front * TOPOLOGY.ny // 2 if half == "front" else (m + front) * TOPOLOGY.ny // 2
+    rows = (front(m) if half == "front" else m + front(m)) * TOPOLOGY.ny // 2
     return 2 + rows
 
 
 @pytest.mark.parametrize("flags", [(), ("--counts",)], ids=["summary", "counts"])
 @pytest.mark.parametrize("m, step", [
-    (M, None), (40, None), (M, 0.25), (9, 1.0), (8, None),
-], ids=["random-odd", "random-even", "quantised", "quantised-m9", "two-batches"])
+    (M, None), (40, None), (M, 0.25), (9, 1.0), (8, None), (13, None),
+], ids=["random-odd", "random-even", "quantised", "quantised-m9", "two-batches", "rounded-up"])
 def test_helper_counts_give_the_serial_bytes(tmp_path, monkeypatch, flags, m, step):
     path = tmp_path / "in.egf"
     values = members(TOPOLOGY, m, step)
@@ -97,7 +106,7 @@ def test_helper_counts_give_the_serial_bytes(tmp_path, monkeypatch, flags, m, st
     paths = Paths(monkeypatch, serial_allowed=False)
     code, split, err = estimate(path, tmp_path / "split.csv", flags)
     assert code == 0, err
-    assert paths.helpers == 1
+    assert (paths.helpers, paths.back) == (1, m - front(m))
     assert split == serial
 
 
@@ -109,6 +118,31 @@ def test_under_two_batches_no_helper_starts(tmp_path, monkeypatch, flags):
     paths = Paths(monkeypatch, serial_allowed=True)
     assert estimate(path, tmp_path / "split.csv", flags) == (code, serial, "")
     assert (paths.helpers, paths.serial) == (0, 1)
+
+
+def test_each_half_is_parsed_as_the_serial_stream_parses_it():
+    lines, k = egf_lines(), front(M)
+    source = io.BytesIO(b"".join(lines[2:]))
+    limit = len(b"".join(lines[2:2 + k * TOPOLOGY.ny]))
+    shape = (TOPOLOGY.nx, TOPOLOGY.ny)
+    front_half = list(stream_range(source, (*shape, k), lambda n: BATCH, limit))
+    assert [len(a) for a in front_half] == [BATCH] * (k // BATCH)
+    back_half = list(stream_range(source, (*shape, M - k), lambda n: BATCH))
+    assert np.array_equal(np.concatenate(front_half + back_half), members(TOPOLOGY, M))
+
+
+@pytest.mark.parametrize("rows, message", [
+    (1, "line 81: trailing content after final block"),
+    (-1, "line 79: unexpected end of file, expected row 19 of member 3"),
+], ids=["row-too-many", "row-too-few"])
+def test_a_range_of_other_than_its_members_rows_raises(rows, message):
+    """Line numbers count from the start of the range."""
+    lines = egf_lines()[2:]
+    limit = len(b"".join(lines[:4 * TOPOLOGY.ny + rows]))
+    blocks = stream_range(io.BytesIO(b"".join(lines)), (TOPOLOGY.nx, TOPOLOGY.ny, 4),
+                          lambda n: BATCH, limit)
+    with pytest.raises(ParseError, match=message):
+        list(blocks)
 
 
 def insert(at: int, line: bytes):
@@ -123,17 +157,28 @@ def truncate(at: int):
     return lambda lines: lines[:at]
 
 
+def join_with_cr(at: int):
+    """Join line `at` and the next into one raw line, at a lone CR."""
+    return lambda lines: lines[:at] + [lines[at][:-1] + b"\r" + lines[at + 1]] + lines[at + 2:]
+
+
 def rest_of_row(line: bytes) -> bytes:
     return line.split(b" ", 1)[1]
 
 
 def edits(half: str) -> dict:
-    """name -> (edit of the EGF's lines, helpers started, the helper's counts used)."""
+    """name -> (edit of the EGF's lines, helpers started, the helper's counts used).
+
+    A comment or blank line in the front half moves member K past the
+    split point, so the front parse ends a row short; in the back half
+    it moves nothing.
+    """
     at = body_row(half)
+    back = half == "back"
     return {f"{kind}-{half}": case for kind, case in {
-        "comment": (insert(at, b"# a note\n"), 1, False),
-        "blank": (insert(at, b"\n"), 1, False),
-        "crlf": (replace(at, lambda line: line[:-1] + b"\r\n"), 1, False),
+        "comment": (insert(at, b"# a note\n"), 1, back),
+        "blank": (insert(at, b"\n"), 1, back),
+        "crlf": (replace(at, lambda line: line[:-1] + b"\r\n"), 1, True),
         "space-led": (replace(at, lambda line: b"  " + line), 1, True),
         "bad-row": (replace(at, rest_of_row), 1, False),
         "nan": (replace(at, lambda line: b"nan " + rest_of_row(line)), 1, False),
@@ -146,7 +191,14 @@ def edits(half: str) -> dict:
 EDITS = {
     **edits("front"),
     **edits("back"),
-    "trailing-comment": (lambda lines: lines + [b"# end\n"], 1, False),
+    # The lone CR takes one LF from the front half; the comment gives it back.
+    "lone-cr-and-comment-front": (
+        lambda lines: insert(body_row("front"), b"# a note\n")(
+            join_with_cr(body_row("front"))(lines)), 1, True),
+    # Without the comment, the split lands a row into member K.
+    "lone-cr-front": (join_with_cr(body_row("front")), 1, False),
+    "trailing-comment": (lambda lines: lines + [b"# end\n"], 1, True),
+    "trailing-blank-lines": (lambda lines: lines + [b"\n", b"  \n", b"\n"], 1, True),
     "comment-before-magic": (insert(0, b"# made by hand\n"), 0, False),
     "zero-padded-header": (replace(1, lambda line: b"0" + line), 0, False),
 }
