@@ -8,21 +8,23 @@ into the sink's handle; text writers hand it an iterable of `str` pieces,
 encoded one at a time, so no output is held whole as text or bytes.
 Exit codes: 0 success, 2 usage or input error, 1 internal error.
 
-`estimate` parses and tallies its EGF one chunk of members at a time.
-A large regular file (`_SPLIT_BYTES`) written with the canonical head
-is split at member K = m // 2, rounded up to a whole chunk, so that the
-helper, which starts later, takes the smaller half: a helper process
-(`python -c`, `_tally_back`) tallies [K, m) while this process tallies
-[0, K), and the two int64 count arrays are added, which gives the serial
-counts exactly.  The split point is the end of line K * ny of the body,
-and each half is parsed by the serial stream's own parse
+`estimate` checks its confidence level, then opens its EGF through one
+serial stream, which parses the head at once and the body as it is
+iterated, one chunk of members at a time.  Before the body is read, a
+large regular file (`_SPLIT_BYTES`) whose head is the one `write_blocks`
+writes is split at member K = m // 2, rounded up to a whole chunk, so
+that the helper, which starts later, takes the smaller half: a helper
+process (`python -c`, `_tally_back`) tallies [K, m) while this process
+tallies [0, K), and the two int64 count arrays are added, which gives
+the serial counts exactly.  The split point is the end of line K * ny of
+the body, and each half is parsed by the serial stream's own parse
 (`grid.stream_range`), which must find exactly its members' rows there:
 a comment, blank line or CR that moves the member boundary leaves one
 half with a row too few or too many.  Any parse error in either half
 ends the split, as does a helper that fails or opens a different file.
 The helper is then killed and reaped, and the serial stream reads the
-file again from byte 0, so every output, message and exit code is the
-serial stream's.
+body again from its first byte, so every output, message and exit code
+is the serial stream's.
 The summary CSV format is `grid`'s (`save_summary`, `load_summary`);
 `_load_summary_path` prefixes its errors with the file's path.
 Numbers in CSV output carry 9 significant digits with LF line endings,
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import itertools
 import os
 import sys
@@ -52,8 +55,8 @@ from .critical import (  # noqa: F401
     CriticalType, TYPE_CODES, _member_chunk, _tally, classify_field, count_types,
 )
 from .grid import (
-    GridTopology, ParseError, RangeDeclined, egf_head, line_end, load_ensemble,
-    load_summary, save_ensemble, save_summary, stream_ensemble, stream_range, vertex_csv,
+    GridTopology, ParseError, RangeDeclined, line_end, load_ensemble, load_summary,
+    save_ensemble, save_summary, stream_ensemble, stream_range, vertex_csv, write_blocks,
 )
 from .render import GlyphStyle, render_map, render_map_pieces  # noqa: F401
 from .stats import _SEED_MAX, ConfidenceLevel, _check_seed, coverage_experiment, summarize
@@ -208,33 +211,39 @@ def _tally_back(path: str, *fields: str) -> int:
     return 0
 
 
-def _split_tally(handle: IO[bytes], path: str) -> tuple[GridTopology, int, np.ndarray] | None:
-    """(topology, m, counts) of the EGF open in `handle`, tallied by two processes.
+def _split_tally(handle: IO[bytes], path: str, topology: GridTopology, m: int,
+                 ) -> np.ndarray | None:
+    """The (3, n) counts of the EGF open in `handle`, tallied by two processes.
 
-    Returns None, with `handle` at byte 0, unless the EGF is a regular
-    file of at least `_SPLIT_BYTES` that starts with the head
-    `write_blocks` writes and spans at least two `_member_chunk` batches,
-    and at least two CPUs are usable.  Then a helper process
-    (`_tally_back`) tallies members [K, m), K being m // 2 rounded up to
-    a whole batch, while this one tallies [0, K); each parses its byte
-    range with the serial stream's parse (`stream_range`).  A range that
-    does not parse as exactly its members, or a helper that cannot start,
-    fails or finds another file, returns None too, so that the serial
-    stream, which defines the format, reads the file and reports its
-    errors.  The helper is killed and reaped on every exit.
+    `handle` is at the body: the serial stream has parsed the head as
+    (topology, m).  Returns None, with `handle` back at the body, unless
+    the EGF is a regular file of at least `_SPLIT_BYTES` whose head is
+    the one `write_blocks` writes for (topology, m), it spans at least
+    two `_member_chunk` batches, and at least two CPUs are usable.  Then
+    a helper process (`_tally_back`) tallies members [K, m), K being
+    m // 2 rounded up to a whole batch, while this one tallies [0, K);
+    each parses its byte range with the serial stream's parse
+    (`stream_range`).  A range that does not parse as exactly its
+    members, or a helper that cannot start, fails or finds another file,
+    returns None too, so that the serial stream, which defines the
+    format, reads the body and reports its errors.  The helper is killed
+    and reaped on every exit.
     """
     stat = os.fstat(handle.fileno())
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     if stat.st_size < _SPLIT_BYTES or not S_ISREG(stat.st_mode) or cpus < 2:
         return None
+    body, head = handle.tell(), io.BytesIO()
+    write_blocks(head, "EGF1", topology, m, ())
+    nx, ny, batch = topology.nx, topology.ny, _member_chunk(topology.n)
     try:
-        nx, ny, m = egf_head(handle)
-        batch = _member_chunk(nx * ny)
-        if min(nx, ny) < 2 or m < 2 * batch:
+        # Only the canonical head puts member 0's first row at `body`: a
+        # lone CR can leave rows on the header's line, which the serial
+        # stream has read and this split would miss.
+        handle.seek(0)
+        if min(nx, ny) < 2 or m < 2 * batch or handle.read(body) != head.getvalue():
             raise RangeDeclined
-        topology = GridTopology(nx, ny)
         front = -(-(m // 2) // batch) * batch
-        body = handle.tell()
         split = line_end(handle, front * ny)
         handle.seek(body)
         import subprocess  # here, so that no other command pays for the import
@@ -260,27 +269,25 @@ def _split_tally(handle: IO[bytes], path: str) -> tuple[GridTopology, int, np.nd
         if helper.returncode != 0 or got != back.nbytes:
             raise RangeDeclined
     except (RangeDeclined, ParseError):
-        handle.seek(0)
+        handle.seek(body)
         return None
-    counts += back
-    return topology, m, counts
+    return counts + back
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    # The level is checked before the input is read, and with --counts too.
+    level = ConfidenceLevel(args.gamma)
     # Members are parsed and tallied one chunk at a time, so memory does
     # not grow with m; a large EGF is split between two processes.
     with open(args.input, "rb") as handle:
-        split = _split_tally(handle, args.input)
-        if split is None:
-            topology, m, blocks = stream_ensemble(handle, _member_chunk)
+        topology, m, blocks = stream_ensemble(handle, _member_chunk)
+        counts = _split_tally(handle, args.input, topology, m)
+        if counts is None:
             counts = _tally(blocks, topology)
-        else:
-            topology, m, counts = split
     if args.counts:
         _write_text(args.output, vertex_csv(
             "i,j,c_min,c_max,c_saddle,m\n", counts.T, topology.nx, f",%d,%d,%d,{m}\n"))
         return 0
-    level = ConfidenceLevel(args.gamma)
     table = summarize(counts, m, level)
     with _atomic_write(args.output) as sink:
         save_summary(table, topology, m, level.gamma, sink)

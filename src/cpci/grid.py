@@ -19,9 +19,10 @@ ones.  `stream_range` parses a byte range of an EGF body that starts
 at a member: it is `stream_blocks` given the shape, which skips the
 head, and a byte limit, so the range is read by the same parse and
 raises ParseError unless it holds exactly the members asked for.  With
-`egf_head` and `line_end`, which find where a member starts in a file
-with the canonical head (else RangeDeclined), it lets `cli` split a
-large EGF between two processes.
+`line_end`, which finds the byte past a given number of LFs (else
+RangeDeclined), it lets `cli` split a large EGF between two processes;
+`cli` checks that the head the stream parsed is the one `write_blocks`
+writes, so that the body's lines start at a member.
 
 The summary CSV, the per-vertex table of point estimates and interval
 bounds, is written by `save_summary` and read by `load_summary`.  Its
@@ -419,7 +420,11 @@ def stream_blocks(source: IO[bytes], magic: str, header: str,
 
 
 class RangeDeclined(Exception):
-    """A file that only `stream_blocks` reads whole: no canonical head, or too few lines."""
+    """An EGF body that `cli`'s split leaves to the serial stream.
+
+    Its head is not the one `write_blocks` writes, it has too few lines,
+    or the helper failed.
+    """
 
 
 def stream_range(source: IO[bytes], shape: tuple[int, int, int],
@@ -434,22 +439,6 @@ def stream_range(source: IO[bytes], shape: tuple[int, int, int],
     """
     return stream_blocks(source, "EGF1", "nx ny m", _member_name, batch=batch,
                          shape=shape, limit=limit)[2]
-
-
-def egf_head(source: IO[bytes]) -> tuple[int, int, int]:
-    """(nx, ny, m) of an EGF that starts `EGF1\\n{nx} {ny} {m}\\n`, else RangeDeclined.
-
-    That head, as `write_blocks` writes it, is the only one read here;
-    `source` is then left at the first byte of the body.
-    """
-    magic, header = source.readline(5), source.readline(64)
-    try:
-        nx, ny, m = map(int, header.split(b" "))
-    except ValueError:
-        raise RangeDeclined from None
-    if magic != b"EGF1\n" or header != b"%d %d %d\n" % (nx, ny, m):
-        raise RangeDeclined
-    return nx, ny, m
 
 
 def line_end(source: IO[bytes], lines: int) -> int:

@@ -184,13 +184,18 @@ class TestEstimate:
         assert code == 2 and "2x2" in err
         assert not (tmp_path / "o.csv").exists()
 
-    def test_bad_gamma(self, tmp_path, topo33):
-        egf = tmp_path / "in.egf"
+    @pytest.mark.parametrize("flags", [(), ("--counts",)], ids=["summary", "counts"])
+    @pytest.mark.parametrize("head", [b"EGF1\n3 3 4\n", b"EGF1\n3 3 four\n"],
+                             ids=["well-formed", "malformed"])
+    def test_bad_gamma(self, tmp_path, topo33, flags, head):
+        # The level is checked before the input is read, with --counts too.
+        egf, out = tmp_path / "in.egf", tmp_path / "o.csv"
         write_egf(egf, topo33, random_members(topo33, 4, seed=1))
-        code, _, err = run_cli(
-            "estimate", "--input", str(egf), "--output", str(tmp_path / "o"),
-            "--gamma", "1.5")
-        assert code == 2 and "gamma" in err
+        egf.write_bytes(head + egf.read_bytes().split(b"\n", 2)[2])
+        code, _, err = run_cli("estimate", "--input", str(egf), "--output", str(out),
+                               "--gamma", "1.5", *flags)
+        assert (code, err) == (2, "cpci: error: gamma must lie in (0, 1), got 1.5\n")
+        assert not out.exists()
 
 
 class TestQuery:

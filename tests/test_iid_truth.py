@@ -6,7 +6,9 @@ neighbours is uniform on 0..d, and given k the higher set is a uniform
 k-subset of the link: each of the 2^d sign patterns has probability
 1 / ((d + 1) C(d, k)).  `iid_type_probabilities` sums those over the
 patterns of each type, typed by the acceptance oracle, which counts runs
-and does not use the classification kernel.
+and does not use the classification kernel.  Against it, both the
+Monte-Carlo ground truth and the intervals of sampled ensembles are
+checked end to end.
 """
 
 import itertools
@@ -14,12 +16,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
-from cpci.critical import CriticalType
+from cpci.critical import CriticalType, count_types
 from cpci.grid import GridTopology, build_link
-from cpci.synth import MomentModel, ground_truth_probabilities
+from cpci.stats import ConfidenceLevel, summarize
+from cpci.synth import MomentModel, ground_truth_probabilities, sample_ensemble
 
-from test_acceptance import oracle_type
+from test_acceptance import exact_cell_coverage, oracle_type
 
 TYPES = (CriticalType.MINIMUM, CriticalType.MAXIMUM, CriticalType.SADDLE)
 
@@ -60,3 +64,30 @@ def test_ground_truth_of_an_iid_model_matches_the_exact_probabilities():
     assert impossible.any() and (hat[impossible] == 0).all()
     z = (hat - p)[~impossible] / np.sqrt(p * (1 - p) / draws)[~impossible]
     assert np.abs(z).max() <= 4.5
+
+
+@pytest.mark.parametrize("m", [9, 49])
+def test_interval_coverage_of_sampled_ensembles_matches_the_exact_coverage(m):
+    """The paper's claim end to end: intervals of sampled ensembles hold p as often as they should.
+
+    Each of K = 1000 ensembles (seeds 0..999) of the i.i.d. 16x16 model is
+    tallied and summarized; its score is the share of the 768 (vertex,
+    type) pairs whose 95% interval holds the exact p.  A pair's count is
+    Bin(m, p), so the expected score is the mean over pairs of the exact
+    coverage at p.  Pairs of one ensemble share values, so the standard
+    error is taken over ensembles.  The bound, 4 SE, fails a correct
+    pipeline with probability about 6e-5 at each m; the seeds are fixed
+    and are not to be changed to pass.
+    """
+    topology, ensembles, level = GridTopology(16, 16), 1000, ConfidenceLevel(0.95)
+    model = MomentModel(topology, np.zeros(topology.n), np.eye(topology.n))
+    p = iid_type_probabilities(topology)
+    coverage = {q: exact_cell_coverage(q, m, level.alpha) for q in np.unique(p).tolist()}
+    expected = np.mean([coverage[q] for q in p.ravel().tolist()])
+    scores = []
+    for seed in range(ensembles):
+        counts = count_types(sample_ensemble(model, m, seed=seed))
+        table = summarize(np.stack([counts.c_min, counts.c_max, counts.c_saddle]), m, level)
+        scores.append(np.mean((table[:, 1] <= p) & (p <= table[:, 2])))
+    se = np.std(scores, ddof=1) / math.sqrt(ensembles)
+    assert abs(np.mean(scores) - expected) <= 4 * se, (np.mean(scores), expected, se)

@@ -5,10 +5,12 @@ process and [0, K) in its own, each half parsed by the serial stream's
 parse, which must find exactly its members' rows.  Its outputs must be
 the serial stream's bytes.  Every file on which a half fails, every
 error and every helper failure must read exactly as the serial stream
-reads it, and no helper may outlive the command.  Here the size
-constant is 0, so small files take the split path, and the batch is 4
-members in this process (the helper keeps the real rule; counts do not
-depend on it), so K is m // 2 rounded up to a multiple of 4.
+reads it, and no helper may outlive the command.  `estimate` opens one
+serial stream on every path, and tallies its blocks only where the split
+is declined.  Here the size constant is 0, so small files take the
+split path, and the batch is 4 members in this process (the helper
+keeps the real rule; counts do not depend on it), so K is m // 2
+rounded up to a multiple of 4.
 """
 
 import io
@@ -17,15 +19,17 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cpci import cli
+from cpci.critical import _member_chunk
 from cpci.grid import GridTopology, ParseError, stream_range
 
 from conftest import run_cli, write_egf
-from test_stream import egf_bytes, members
+from test_stream import egf_bytes, members, write_members
 
 BATCH = 4
 TOPOLOGY = GridTopology(24, 20)
@@ -45,22 +49,37 @@ def estimate(path, out, flags=()) -> tuple[int, bytes | None, str]:
     return code, out.read_bytes() if code == 0 else None, err
 
 
-class Paths:
-    """Puts `estimate` on the split path and counts serial streams and helper starts."""
+class Streams:
+    """Counts `estimate`'s calls of `stream_ensemble` and the serial tallies of its blocks."""
 
     def __init__(self, monkeypatch, serial_allowed: bool):
-        self.serial = self.helpers = 0
+        self.streams = self.serial = 0
+        stream = cli.stream_ensemble
+
+        def serial_blocks(blocks):
+            # A generator: this runs when the tally first asks for a block.
+            self.serial += 1
+            if not serial_allowed:
+                raise AssertionError("the serial stream was tallied on the split path")
+            yield from blocks
+
+        def counted_stream(*args):
+            self.streams += 1
+            topology, m, blocks = stream(*args)
+            return topology, m, serial_blocks(blocks)
+
+        monkeypatch.setattr(cli, "stream_ensemble", counted_stream)
+
+
+class Paths(Streams):
+    """Puts `estimate` on the split path and counts serial tallies and helper starts."""
+
+    def __init__(self, monkeypatch, serial_allowed: bool):
+        super().__init__(monkeypatch, serial_allowed)
+        self.helpers = 0
         self.back = None  # the members the last helper was asked to tally
         monkeypatch.setattr(cli, "_SPLIT_BYTES", 0)
         monkeypatch.setattr(cli, "_member_chunk", lambda n: BATCH)
-        stream = cli.stream_ensemble
-
-        def counted_stream(*args):
-            self.serial += 1
-            if not serial_allowed:
-                raise AssertionError("the serial stream ran on the split path")
-            return stream(*args)
-
         paths = self
 
         class CountedPopen(subprocess.Popen):
@@ -69,7 +88,6 @@ class Paths:
                 paths.back = int(args[0][-1])
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "stream_ensemble", counted_stream)
         monkeypatch.setattr(subprocess, "Popen", CountedPopen)
         # Two usable CPUs, whatever this machine has.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -107,6 +125,7 @@ def test_helper_counts_give_the_serial_bytes(tmp_path, monkeypatch, flags, m, st
     code, split, err = estimate(path, tmp_path / "split.csv", flags)
     assert code == 0, err
     assert (paths.helpers, paths.back) == (1, m - front(m))
+    assert (paths.streams, paths.serial) == (1, 0)
     assert split == serial
 
 
@@ -118,6 +137,7 @@ def test_under_two_batches_no_helper_starts(tmp_path, monkeypatch, flags):
     paths = Paths(monkeypatch, serial_allowed=True)
     assert estimate(path, tmp_path / "split.csv", flags) == (code, serial, "")
     assert (paths.helpers, paths.serial) == (0, 1)
+    assert paths.streams == 1
 
 
 def test_each_half_is_parsed_as_the_serial_stream_parses_it():
@@ -166,6 +186,9 @@ def rest_of_row(line: bytes) -> bytes:
     return line.split(b" ", 1)[1]
 
 
+ZERO_ROW = b"0 " * (TOPOLOGY.nx - 1) + b"0\n"
+
+
 def edits(half: str) -> dict:
     """name -> (edit of the EGF's lines, helpers started, the helper's counts used).
 
@@ -182,7 +205,7 @@ def edits(half: str) -> dict:
         "space-led": (replace(at, lambda line: b"  " + line), 1, True),
         "bad-row": (replace(at, rest_of_row), 1, False),
         "nan": (replace(at, lambda line: b"nan " + rest_of_row(line)), 1, False),
-        "extra-row": (insert(at, b"0 " * (TOPOLOGY.nx - 1) + b"0\n"), 1, False),
+        "extra-row": (insert(at, ZERO_ROW), 1, False),
         # Cut in the front half, the file has no member K to split at.
         "truncated": (truncate(at), int(half == "back"), False),
     }.items()}
@@ -199,6 +222,13 @@ EDITS = {
     "lone-cr-front": (join_with_cr(body_row("front")), 1, False),
     "trailing-comment": (lambda lines: lines + [b"# end\n"], 1, True),
     "trailing-blank-lines": (lambda lines: lines + [b"\n", b"  \n", b"\n"], 1, True),
+    # A lone CR puts member 0's first row on the header's line: the head is
+    # not the one `write_blocks` writes, so no helper starts.
+    "row-on-header-line": (join_with_cr(1), 0, False),
+    # With one row more, each half would hold exactly its members' rows
+    # and the split would count a file that the serial stream rejects.
+    "row-on-header-line-and-extra-row": (
+        lambda lines: join_with_cr(1)(lines) + [ZERO_ROW], 0, False),
     "comment-before-magic": (insert(0, b"# made by hand\n"), 0, False),
     "zero-padded-header": (replace(1, lambda line: b"0" + line), 0, False),
 }
@@ -215,8 +245,9 @@ def test_edited_files_read_as_the_serial_stream_reads_them(tmp_path, monkeypatch
     assert got == expected
     assert paths.helpers == helpers
     assert paths.serial == int(not split_used)
+    assert paths.streams == 1
     code, _, err = got
-    if name.startswith(("bad-row", "nan", "extra-row", "truncated")):
+    if "extra-row" in name or name.startswith(("bad-row", "nan", "truncated")):
         assert code == 2 and err.startswith("cpci: error: line "), err
     else:
         assert code == 0, err
@@ -227,9 +258,10 @@ def test_error_lines_are_those_of_the_serial_stream(tmp_path, monkeypatch):
     lines = egf_lines()
     at = body_row("back")
     path.write_bytes(b"".join(replace(at, lambda line: b"nan " + rest_of_row(line))(lines)))
-    Paths(monkeypatch, serial_allowed=True)
+    paths = Paths(monkeypatch, serial_allowed=True)
     code, _, err = estimate(path, tmp_path / "out.csv")
     assert (code, err) == (2, f"cpci: error: line {at + 1}: non-finite value 'nan'\n")
+    assert (paths.helpers, paths.serial, paths.streams) == (1, 1, 1)
 
 
 def test_helper_that_cannot_start(tmp_path, monkeypatch):
@@ -240,6 +272,7 @@ def test_helper_that_cannot_start(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "executable", str(tmp_path / "missing" / "python"))
     assert estimate(path, tmp_path / "split.csv") == expected
     assert (paths.helpers, paths.serial) == (1, 1)
+    assert paths.streams == 1
 
 
 def test_helper_that_finds_another_file_declines(tmp_path, monkeypatch):
@@ -251,6 +284,7 @@ def test_helper_that_finds_another_file_declines(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_identity", lambda stat: [*identity(stat)[:3], "0"])
     assert estimate(path, tmp_path / "split.csv") == expected
     assert (paths.helpers, paths.serial) == (1, 1)
+    assert paths.streams == 1
 
 
 @pytest.mark.parametrize("error, code", [(KeyboardInterrupt, None), (OSError, 2)])
@@ -273,8 +307,34 @@ def test_helper_is_killed_when_this_half_fails(tmp_path, monkeypatch, error, cod
         assert estimate(path, tmp_path / "out.csv") == (
             code, None, "cpci: error: stopped in this half\n")
     assert time.monotonic() - start < 30
-    assert paths.helpers == 1
+    assert (paths.helpers, paths.streams) == (1, 1)
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_split_path_memory_does_not_grow_with_m(tmp_path, monkeypatch):
+    """The main process's tracemalloc peak of `estimate --counts` on the split path.
+
+    The serial budget (`test_member_chunk`): within 5% across m, and at
+    most 4 MiB; 3.5 MiB measured at both m.  The real batch rule is kept.
+    """
+    topology = GridTopology(128, 128)
+    paths = Paths(monkeypatch, serial_allowed=False)
+    monkeypatch.setattr(cli, "_member_chunk", _member_chunk)
+    peaks = []
+    for m in (40, 120):
+        path = tmp_path / f"m{m}.egf"
+        write_members(path, topology, m, 0.25, seed=m)
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli("estimate", "--counts", "--input", str(path),
+                                   "--output", str(tmp_path / "counts.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+    assert (paths.helpers, paths.serial, paths.streams) == (2, 0, 2)
+    assert max(peaks) <= 1.05 * min(peaks), peaks
+    assert max(peaks) <= 4 * 2 ** 20, [peak / 2 ** 20 for peak in peaks]
 
 
 def test_pipe_input_takes_the_serial_stream(tmp_path, monkeypatch):
@@ -291,6 +351,7 @@ def test_pipe_input_takes_the_serial_stream(tmp_path, monkeypatch):
     writer.join(timeout=30)
     assert not writer.is_alive()
     assert (paths.helpers, paths.serial) == (0, 1)
+    assert paths.streams == 1
 
 
 def test_one_usable_cpu_takes_the_serial_stream(tmp_path, monkeypatch):
@@ -301,6 +362,7 @@ def test_one_usable_cpu_takes_the_serial_stream(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert estimate(path, tmp_path / "split.csv") == expected
     assert (paths.helpers, paths.serial) == (0, 1)
+    assert paths.streams == 1
 
 
 @pytest.mark.slow
@@ -314,12 +376,9 @@ def test_just_above_the_real_size_constant(tmp_path, monkeypatch):
     write_egf(path, topology, members(topology, m, seed=5))
     assert cli._SPLIT_BYTES <= path.stat().st_size < 1.05 * cli._SPLIT_BYTES
     with monkeypatch.context() as serial_only:
-        serial_only.setattr(cli, "_split_tally", lambda handle, path: None)
+        serial_only.setattr(cli, "_split_tally", lambda handle, path, topology, m: None)
         expected = estimate(path, tmp_path / "serial.csv")
     assert expected[0] == 0
-
-    def no_serial(*args):
-        raise AssertionError("the serial stream ran on a file above the size constant")
-
-    monkeypatch.setattr(cli, "stream_ensemble", no_serial)
+    streams = Streams(monkeypatch, serial_allowed=False)
     assert estimate(path, tmp_path / "split.csv") == expected
+    assert (streams.streams, streams.serial) == (1, 0)
