@@ -314,8 +314,9 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     topology, table, _, _ = _load_summary_path(args.input)
     if args.ground_truth:
-        # A ground-truth map shows point estimates: each p_hat is its own interval.
-        table = table[:, [0, 0, 0]]
+        # A ground-truth map shows point estimates: each p_hat is its own
+        # interval.  A read-only view repeats the p_hat rows, not a copy.
+        table = np.broadcast_to(table[:, :1], table.shape)
     style = GlyphStyle(r_max=args.rmax, cell=args.cell)
     _write_text(args.output, render_map_pieces(table, topology, style))
     return 0

@@ -30,12 +30,13 @@ reader takes its rows in the same chunks (`_line_chunks`) through the
 same fast path, with its own byte alphabet, delimiter and record dtype,
 and parses any chunk it declines row by row, the parse that defines
 the format.  Both take binary handles and name no file in their
-errors.  The CSV and SVG writers format per-vertex rows through
-`keyed_text`, once per distinct row; `vertex_csv` lays out the CSV
-ones.  `stream_ensemble`, `stream_blocks`, `stream_range`, `write_blocks`,
-`keyed_text` and `vertex_csv` are left out of `__all__`, and so out of the package
-API: they are the streaming and formatting plumbing that `cli`,
-`render` and `synth` import by name.
+errors.  The CSV writers lay out per-vertex rows through `vertex_csv`,
+which formats each distinct row once (`keyed_text`); the SVG writer in
+`render` keys each of its columns apart instead.  `stream_ensemble`,
+`stream_blocks`, `stream_range`, `write_blocks`, `keyed_text` and
+`vertex_csv` are left out of `__all__`, and so out of the package API:
+they are the streaming and formatting plumbing of this module and of
+`cli` and `synth`, which import them by name.
 """
 
 from __future__ import annotations
@@ -480,9 +481,10 @@ def keyed_text(rows: np.ndarray, format_rows: Callable[[np.ndarray], list[str]])
     once, on the (d, k) distinct rows in key order, and returns their d
     strings.  Returns an (n,) object array whose entry i is the string of
     row i's key, so rows with equal keys share one `str` object.
+    `vertex_csv` keys the CSV writers' rows with it.
     """
     # Each column's bits as unsigned integers: a view where the column is
-    # contiguous, as in the transposed tables the writers pass.
+    # contiguous, as in the transposed tables the CSV writers pass.
     columns = [np.ascontiguousarray(rows[:, c]).view(f"u{rows.itemsize}")
                for c in range(rows.shape[1])]
     order = np.lexsort(columns[::-1])

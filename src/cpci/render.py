@@ -9,20 +9,22 @@ top of it, then a black arc stroked at the point estimate's radius.
 Zero probabilities emit no geometry.
 
 `render_map_pieces` reads the (3, 3, n) table of `stats.summarize`,
-indexed [type (min, max, sad), stat (hat, lo, hi), vertex].  A glyph
-depends only on its vertex's nine values, so vertices are keyed by the
-exact bits of those values (`grid.keyed_text`) and each distinct
-glyph body is formatted once; within it, a path depends only on its
-sector, its role and one probability, so each distinct probability's
-path is formatted once too.  The document is the header, then per
-vertex its opening tag and the shared body of its key, then the legend,
-as pieces made while they are iterated.  A writer encodes them one at a
-time, so neither the SVG text nor a list of its pieces is ever held;
+indexed [type (min, max, sad), stat (hat, lo, hi), vertex].  A path
+depends only on its sector, its role and one probability, so each of
+the nine (type, stat) columns is keyed by the exact bits of its values
+and each distinct value's path is formatted once: a summary counted
+from m members has at most 9(m + 1) of them, however many vertices and
+distinct glyphs it has.  The document is the header, then one piece
+per grid row, each vertex's opening tag and its nine paths looked up
+by key, then the legend, as pieces made while they are iterated.  A
+writer encodes them one at a time, so neither the SVG text, nor a list
+of its pieces, nor a body per distinct glyph is ever held;
 `render_map` is their `"".join`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterator
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridTopology, keyed_text
+from .grid import GridTopology
 
 __all__ = [
     "GlyphStyle",
@@ -45,7 +47,7 @@ _TYPE_LABELS = {"max": "Maximum", "min": "Minimum", "sad": "Saddle"}
 _TABLE_ROWS = {"min": 0, "max": 1, "sad": 2}   # type axis of the summary table
 _REFERENCE_PROBS = (0.25, 0.5, 0.75, 1.0)
 _MARGIN = 30.0
-_ARC_STROKE = 1.5
+_ARC_PAINT = 'fill="none" stroke="#000000" stroke-width="1.5"'
 _COLORS = {   # (light, dark) fill per type
     "max": ("#F4B6B6", "#C0392B"),
     "min": ("#B6CDF4", "#2B5AC0"),
@@ -85,10 +87,16 @@ def _fmt(value: float) -> str:
     return "0" if text == "-0" else text
 
 
+@functools.cache
+def _unit(deg: float) -> tuple[float, float]:
+    # The sectors' few fixed angles: each one's cos and sin, computed once
+    return math.cos(math.radians(deg)), math.sin(math.radians(deg))
+
+
 def _point(r: float, deg: float) -> tuple[float, float]:
     # SVG y grows downward; negate sin so angles run counterclockwise on screen
-    rad = math.radians(deg)
-    return r * math.cos(rad), -r * math.sin(rad)
+    c, s = _unit(deg)
+    return r * c, -r * s
 
 
 def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
@@ -103,28 +111,6 @@ def _arc_path(r: float, start_deg: float, end_deg: float) -> str:
 def _sector_path(r: float, start_deg: float, end_deg: float) -> str:
     # The arc closed through the centre: a filled sector
     return f"M 0 0 L {_arc_path(r, start_deg, end_deg)[2:]} Z"
-
-
-def _sector_paths(table: np.ndarray, style: GlyphStyle) -> list[np.ndarray]:
-    """Per sector, in paint order (light, dark, arc): the path of every
-    column of the (3, 3, k) `table`, "" where the probability is 0.
-    Nine (k,) object arrays of strings; `render_map` passes one column
-    per distinct glyph, and each distinct probability's path is formatted
-    once."""
-    arc_paint = f'fill="none" stroke="#000000" stroke-width="{_fmt(_ARC_STROKE)}"'
-    pieces = []
-    for code, start, end in SECTORS:
-        light, dark = _COLORS[code]
-        for stat, shape, paint in ((2, _sector_path, f'fill="{light}"'),
-                                   (1, _sector_path, f'fill="{dark}"'),
-                                   (0, _arc_path, arc_paint)):
-            # Called at once by `keyed_text`, so it sees this iteration's values.
-            def paths(probs: np.ndarray) -> list[str]:
-                radii = [glyph_radius(p, style.r_max) for p in probs.ravel().tolist()]
-                return [f'<path d="{shape(r, start, end)}" {paint}/>' if r > 0 else ""
-                        for r in radii]
-            pieces.append(keyed_text(table[_TABLE_ROWS[code], stat, :, None], paths))
-    return pieces
 
 
 def _legend(style: GlyphStyle, origin_x: float) -> tuple[str, float, float]:
@@ -185,8 +171,9 @@ def render_map_pieces(
     Vertex (i, j) is centered at (margin + i*cell, margin + (ny-1-j)*cell),
     so j increases upward on screen.  Output is byte-stable for fixed
     inputs; glyph groups appear in linear vertex order.  The table and
-    canvas are checked, and each distinct glyph body formatted, when this
-    is called; the pieces are made as they are iterated.
+    canvas are checked, and each column's distinct paths formatted, when
+    this is called; the pieces, one per grid row, are made as they are
+    iterated.
     """
     nx, ny, n = topology.nx, topology.ny, topology.n
     table = np.asarray(table, dtype=np.float64)
@@ -209,14 +196,26 @@ def render_map_pieces(
     )
     xs = [_fmt(_MARGIN + i * style.cell) for i in range(nx)]
     ys = [_fmt(_MARGIN + (ny - 1 - j) * style.cell) for j in range(ny)]
+    # Per column, in paint order (per sector: light, dark, arc): its values'
+    # bits by grid row, their distinct keys in order, and each key's path,
+    # led by a line break, or "" where the probability is 0.
+    columns = []
+    for code, start, end in SECTORS:
+        for stat, shape, paint in ((2, _sector_path, f'fill="{_COLORS[code][0]}"'),
+                                   (1, _sector_path, f'fill="{_COLORS[code][1]}"'),
+                                   (0, _arc_path, _ARC_PAINT)):
+            bits = table[_TABLE_ROWS[code], stat].view(np.uint64).reshape(ny, nx)
+            keys = np.unique(bits)
+            radii = (glyph_radius(p, style.r_max) for p in keys.view(np.float64).tolist())
+            columns.append((bits, keys, np.array(
+                [f'\n<path d="{shape(r, start, end)}" {paint}/>' if r > 0 else "" for r in radii],
+                dtype=object)))
 
-    def glyph_rests(distinct: np.ndarray) -> list[str]:
-        bodies = ("\n".join(filter(None, paths))
-                  for paths in zip(*_sector_paths(distinct.T.reshape(3, 3, -1), style)))
-        return [f"\n{body}\n</g>\n" if body else "</g>\n" for body in bodies]
-    # Per vertex: its own opening tag, then the shared rest of its glyph.
-    rests = keyed_text(table.reshape(9, n).T, glyph_rests)
-    opens = (f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
-             for j in range(ny) for i in range(nx))
-    return itertools.chain([header], itertools.chain.from_iterable(zip(opens, rests)),
-                           [legend, "\n</svg>\n"])
+    def row(j: int) -> str:
+        # Grid row j's piece: per vertex its opening tag, nine paths and close.
+        looked = [paths[np.searchsorted(keys, bits[j])].tolist() for bits, keys, paths in columns]
+        opens = (f'<g data-vertex="{i},{j}" transform="translate({x},{ys[j]})">'
+                 for i, x in enumerate(xs))
+        closes = ("\n</g>\n" if any(paths) else "</g>\n" for paths in zip(*looked))
+        return "".join(itertools.chain.from_iterable(zip(opens, *looked, closes)))
+    return itertools.chain([header], map(row, range(ny)), [legend, "\n</svg>\n"])

@@ -1,11 +1,14 @@
 """Keyed text writers against the per-vertex loops they replaced.
 
-`render_map` and the summary and count CSV writers format each distinct
-row of per-vertex values once and share the text among the vertices that
-have the same bits.  The per-vertex loops below are the writers as they
-were before; every output must equal theirs byte for byte.
+The summary and count CSV writers format each distinct row of per-vertex
+values once and share the text among the vertices that have the same
+bits; `render_map` formats each distinct value of each of its nine
+columns once and joins a vertex's nine paths as it writes its grid row.
+The per-vertex loops below are the writers as they were before; every
+output must equal theirs byte for byte.
 """
 
+import collections
 import tracemalloc
 from pathlib import Path
 
@@ -50,7 +53,8 @@ def counts_csv_oracle(counts, topology, m) -> str:
 
 
 def render_map_oracle(table, topology, style=GlyphStyle()) -> str:
-    """The SVG document, one glyph string per vertex, joined at the end."""
+    """The SVG document, one glyph string per vertex, each of its nine
+    paths formatted for that vertex, joined at the end."""
     nx, ny, n = topology.nx, topology.ny, topology.n
     table = np.asarray(table, dtype=np.float64)
     fmt, margin = render._fmt, render._MARGIN
@@ -67,10 +71,21 @@ def render_map_oracle(table, topology, style=GlyphStyle()) -> str:
     ]
     xs = [fmt(margin + i * style.cell) for i in range(nx)]
     ys = [fmt(margin + (ny - 1 - j) * style.cell) for j in range(ny)]
-    for v, paths in enumerate(zip(*render._sector_paths(table, style))):
+    arc_paint = 'fill="none" stroke="#000000" stroke-width="1.5"'
+    for v in range(n):
         i, j = v % nx, v // nx
         open_tag = f'<g data-vertex="{i},{j}" transform="translate({xs[i]},{ys[j]})">'
-        body = "\n".join(path for path in paths if path)
+        paths = []
+        for code, start, end in render.SECTORS:
+            light, dark = render._COLORS[code]
+            hat, lo, hi = table[{"min": 0, "max": 1, "sad": 2}[code], :, v].tolist()
+            for p, shape, paint in ((hi, render._sector_path, f'fill="{light}"'),
+                                    (lo, render._sector_path, f'fill="{dark}"'),
+                                    (hat, render._arc_path, arc_paint)):
+                r = render.glyph_radius(p, style.r_max)
+                if r > 0:
+                    paths.append(f'<path d="{shape(r, start, end)}" {paint}/>')
+        body = "\n".join(paths)
         parts.append(f"{open_tag}\n{body}\n</g>" if body else open_tag + "</g>")
     parts.append(legend)
     parts.append("</svg>")
@@ -103,8 +118,11 @@ def estimate_table(topology: GridTopology, m: int = 50, seed: int = 0) -> np.nda
 
 
 def glyph_bodies(table, topology) -> list[str]:
-    """The SVG piece after each vertex's opening tag: its shared glyph body."""
-    return list(render_map_pieces(table, topology))[2:-2:2]
+    """Each vertex's glyph body: the SVG text after its opening tag, up to
+    the next vertex's opening tag or the legend."""
+    svg = render_map(table, topology)
+    glyphs = svg[:svg.index('<g id="legend"')].split("<g data-vertex=")[1:]
+    return [glyph.partition(">")[2] for glyph in glyphs]
 
 
 @st.composite
@@ -154,9 +172,9 @@ SPECIAL_BITS = [0x0, 0x8000_0000_0000_0000, 0x7FF8_0000_0000_0000, 0xFFF8_0000_0
 
 @st.composite
 def keyed_rows(draw) -> np.ndarray:
-    """(n, k) rows as the writers pass them: float64 tables with k = 9, int64
-    count rows with k = 3 and the one-column rows of `_sector_paths`, laid
-    out as transposed (k, n) arrays or as contiguous rows."""
+    """(n, k) rows as the writers pass them: float64 tables with k = 9 and
+    int64 count rows with k = 3, plus one-column rows, laid out as
+    transposed (k, n) arrays or as contiguous rows."""
     n, k = draw(st.integers(1, 40)), draw(st.sampled_from([1, 3, 9]))
     if draw(st.booleans()):
         pool = np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1) | st.integers(0, 3),
@@ -297,8 +315,27 @@ def render_and_write_peak(table, topology, path) -> float:
     return peak / path.stat().st_size
 
 
+@pytest.fixture(scope="module")
+def deep_case():
+    """(topology, table) of a 128x128 smooth ensemble of 1000 members: most
+    vertices have a glyph of their own, but each column few values."""
+    t = GridTopology(128, 128)
+    return t, summarize(counts_of(smooth_ensemble(t, 1000, seed=0)), 1000, ConfidenceLevel(0.95))
+
+
+def uniform_counts_table(topology: GridTopology, m: int) -> np.ndarray:
+    """The table of counts drawn uniformly with c_min + c_max + c_saddle <= m:
+    nearly every glyph is distinct, and each column has about m + 1 values."""
+    rng = np.random.default_rng(0)
+    c_min = rng.integers(0, m + 1, topology.n)
+    c_max = rng.integers(0, m + 1 - c_min)
+    c_sad = rng.integers(0, m + 1 - c_min - c_max)
+    return summarize(np.stack((c_min, c_max, c_sad)), m, ConfidenceLevel(0.95))
+
+
 class TestRenderMemory:
-    """The SVG is written piece by piece: its text is never held whole."""
+    """The SVG is written one grid row at a time: neither its text nor a
+    body per distinct glyph is ever held, only each column's distinct paths."""
 
     def test_peak_within_half_an_svg(self, tmp_path):
         t = GridTopology(128, 128)
@@ -308,6 +345,55 @@ class TestRenderMemory:
     def test_peak_within_half_an_svg_at_256(self, tmp_path):
         t = GridTopology(256, 256)
         assert render_and_write_peak(estimate_table(t), t, tmp_path / "map.svg") <= 0.5
+
+    def test_distinct_glyphs_within_one_table(self, deep_case, tmp_path):
+        # Measured 0.47 tables with numpy 2.4.6; a body per distinct glyph
+        # measured 16.2.
+        t, table = deep_case
+        assert len(set(map(bytes, table.reshape(9, t.n).T))) >= 10_000
+        peak = traced_peak(lambda: _write_text(str(tmp_path / "map.svg"),
+                                               render_map_pieces(table, t)))
+        assert peak / table.nbytes <= 1.0, peak / table.nbytes
+
+    @pytest.mark.slow
+    def test_512_distinct_glyphs_within_budget(self):
+        # 252,930 distinct glyphs.  Measured 3.4 MiB with numpy 2.4.6: the
+        # sort of one column's values, each column's distinct paths and one
+        # grid row.  A body per distinct glyph measured 307 MiB.  The pieces
+        # are encoded as the writer does, but not written: the SVG is 290 MB.
+        t = GridTopology(512, 512)
+        table = uniform_counts_table(t, 1000)
+        peak = traced_peak(lambda: collections.deque(
+            map(str.encode, render_map_pieces(table, t)), maxlen=0))
+        assert peak <= 8 * 2**20, peak
+
+
+class TestRenderFormatsEachValueOnce:
+    def test_path_formatter_calls(self, deep_case, monkeypatch):
+        # Each column's paths are formatted once per distinct nonzero value:
+        # the sector paths of the light and dark columns, and the arcs of
+        # the arc column and of every sector path.  The legend draws one
+        # sector path per type.
+        t, table = deep_case
+        calls = collections.Counter()
+        for name in ("_sector_path", "_arc_path"):
+            def counted(r, start, end, name=name, shape=getattr(render, name)):
+                calls[name, start] += 1
+                return shape(r, start, end)
+            monkeypatch.setattr(render, name, counted)
+        pieces = render_map_pieces(table, t)
+        monkeypatch.undo()
+
+        def distinct(row, stat):
+            return len(np.unique(table[row, stat][table[row, stat] > 0]))
+        expected = collections.Counter()
+        for code, start, _ in render.SECTORS:
+            row = render._TABLE_ROWS[code]
+            expected["_sector_path", start] = distinct(row, 2) + distinct(row, 1) + 1
+            expected["_arc_path", start] = expected["_sector_path", start] + distinct(row, 0)
+        assert calls == expected
+        assert sum(calls.values()) < len(set(map(bytes, table.reshape(9, t.n).T)))
+        assert "".join(pieces) == render_map(table, t)
 
 
 def traced_peak(run) -> int:
@@ -338,7 +424,8 @@ def estimate_case(request, tmp_path_factory):
 # 256x256: the peak measured with numpy 2.4.6 plus about 0.25 of a table.
 # Per-distinct-row text does not grow with the grid, so it weighs more in
 # the smaller table.  Writers and a reader that copied the whole table
-# measured 2.06 / 2.06, 3.49 / 3.40, 3.57 / 3.57 and 4.02 / 3.40.
+# measured 2.06 / 2.06, 3.49 / 3.40, 3.57 / 3.57 and 4.02 / 3.40; a
+# render that held a body per distinct glyph measured 2.65 / 1.12.
 STAGE_BUDGETS = {
     # measured 1.39 / 1.39: the table and one type's bounds
     "summarize": {128: 1.65, 256: 1.65},
@@ -346,8 +433,9 @@ STAGE_BUDGETS = {
     "save_summary": {128: 1.55, 256: 0.8},
     # measured 2.25 / 2.24: the parsed records and the table
     "load_summary": {128: 2.5, 256: 2.5},
-    # measured 2.65 / 1.12: the keys and the glyph bodies
-    "render": {128: 2.9, 256: 1.4},
+    # measured 0.30 / 0.14: the sort of one column's values, each
+    # column's distinct paths and one grid row
+    "render": {128: 0.55, 256: 0.4},
 }
 
 

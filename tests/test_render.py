@@ -222,6 +222,15 @@ class TestRenderMap:
         with pytest.raises(ValueError, match="not a probability"):
             render_map(table, GridTopology(2, 2))
 
+    def test_first_invalid_value_in_key_order_named(self):
+        # Columns are checked in paint order, Maximum's p_upper first, and
+        # each column's values in the order of their bits as unsigned ints.
+        table = np.zeros((3, 3, 4))
+        table[ROW["max"], 2] = [-0.5, math.nan, 2.0, 1.5]
+        table[ROW["min"], 0, 0] = 7.0
+        with pytest.raises(ValueError, match=r"^p=1\.5 is not a probability$"):
+            render_map_pieces(table, GridTopology(2, 2))
+
     @pytest.mark.parametrize("nx, r_max", [(4, 1.0), (1, 4e307)])
     def test_infinite_canvas_rejected(self, nx, r_max):
         # 4x4: the grid's width overflows; 1x1: only the legend's does.
